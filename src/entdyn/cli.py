@@ -15,10 +15,10 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .filters import NumericalError, analytic_series
+from .filters import ANALYTIC_ENGINES, NumericalError, analytic_series
 from .grid import TimeGrid
 from .io import write_manifest, write_series_csv
-from .mc import DephasingRun, run
+from .mc import DephasingRun, resolve_workers, run
 from .noise import NoiseModel
 from .pulses import PulseProtocol, pulse_grid_indices
 from .scenarios import JCScenario, RandomFieldScenario, jc_measures, random_field_series
@@ -179,6 +179,13 @@ def parse_config(argv=None) -> RunConfig:
         raise ConfigError("missing required field 'mode'")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
+    for key, kind in _FILE_KEYS.items():
+        if kind is float and key in values and not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {values[key]!r}")
+    try:
+        resolve_workers(None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     noise = protocol = None
     omega = g = None
@@ -252,6 +259,8 @@ def execute(config: RunConfig) -> None:
         "columns": checksums,
         "x_column": x_name,
     }
+    if config.mode == "analytic":
+        manifest["engine"] = ANALYTIC_ENGINES[config.noise.kind]
     write_manifest(config.output_path + ".manifest.json", manifest)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,8 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
-        if not self.t_max > 0.0:
-            raise ValueError(f"t_max must be positive, got {self.t_max!r}")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
         if self.n_points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.n_points!r}")
 

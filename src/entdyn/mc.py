@@ -104,11 +104,17 @@ def trajectory_state(initial: np.ndarray, phi: float) -> np.ndarray:
     return initial * np.exp(-0.5j * _SZ_A * phi)
 
 
-def _resolve_workers(workers: int | None) -> int:
+def resolve_workers(workers: int | None) -> int:
+    """Worker count to use: ``workers``, or the ENTDYN_WORKERS setting (default 1)."""
+    name, value = "worker count", workers
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
     if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers!r}")
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return workers
 
 
@@ -141,7 +147,7 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
         phi = _phase_block(eps, run.grid, run.protocol)
         return np.exp(-1j * phi).sum(axis=0)
 
-    partial = _map_batches(one_batch, run.n_traj, _resolve_workers(workers))
+    partial = _map_batches(one_batch, run.n_traj, resolve_workers(workers))
     total = np.zeros(run.grid.n_points, dtype=complex)
     for p in partial:  # fixed batch order keeps the reduction deterministic
         total += p
@@ -208,7 +214,7 @@ def _run_propagator(config: DephasingRun, workers: int | None = None) -> Entangl
             ent_sum[j] = _eof_vec(c_pure).sum()
         return rho_sum, ent_sum
 
-    partial = _map_batches(one_batch, config.n_traj, _resolve_workers(workers))
+    partial = _map_batches(one_batch, config.n_traj, resolve_workers(workers))
     rho_total = np.zeros((n, 4, 4), dtype=complex)
     ent_total = np.zeros(n)
     for rho_sum, ent_sum in partial:

@@ -119,13 +119,19 @@ def test_execute_randomfield_has_no_x_column(tmp_path):
 
 
 def test_manifest_checksums_recomputable(tmp_path):
-    out = tmp_path / "series.csv"
-    execute(parse_config(f"--mode randomfield --points 41 -o {out}".split()))
     import json
 
-    with open(str(out) + ".manifest.json") as handle:
-        manifest = json.load(handle)
-    assert column_checksums_from_csv(str(out)) == manifest["columns"]
+    for name, args, engine in (
+        ("series", "--mode randomfield --points 41", None),
+        ("static", "--mode analytic --noise static --sigma 1 --protocol echo --tbar 4 --points 81", "static_closed_form"),
+        ("ou", "--mode analytic --noise ou --sigma 1 --tau 20 --protocol echo --tbar 4 --points 81", "ou_recursion"),
+    ):
+        out = tmp_path / f"{name}.csv"
+        execute(parse_config(f"{args} -o {out}".split()))
+        with open(str(out) + ".manifest.json") as handle:
+            manifest = json.load(handle)
+        assert column_checksums_from_csv(str(out)) == manifest["columns"]
+        assert manifest.get("engine") == engine
 
 
 def test_identical_config_gives_identical_csv(tmp_path):
@@ -159,6 +165,45 @@ def test_main_exit_codes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "random_field_series", boom)
     assert main(f"--mode randomfield --points 21 -o {tmp_path / 'y.csv'}".split()) == cli.EXIT_NUMERICAL
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("entdyn: "), err
+    return err
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ("--mode analytic --noise ou --sigma 1 --tau 20 --tmax inf", "tmax"),
+        ("--mode analytic --noise ou --sigma inf --tau 20", "sigma"),
+        ("--mode analytic --noise ou --sigma 1 --tau nan", "tau"),
+        ("--mode randomfield --omega inf", "omega"),
+        ("--mode analytic --noise static --sigma 1e-320", "t_max"),  # default tmax 8/sigma overflows
+    ],
+)
+def test_nonfinite_value_exits_2_naming_field(tmp_path, capsys, args, field):
+    assert main([*args.split(), "-o", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+    assert f"{field} must be" in _one_line_error(capsys)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "1.5"])
+def test_bad_worker_env_exits_2(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("ENTDYN_WORKERS", workers)
+    out = tmp_path / "x.csv"
+    argv = f"--mode mc --noise static --sigma 1 --points 21 --ntraj 10 -o {out}".split()
+    assert main(argv) == cli.EXIT_CONFIG
+    assert "ENTDYN_WORKERS" in _one_line_error(capsys)
+
+
+def test_nonfinite_exponent_exits_3(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = f"--mode analytic --noise ou --sigma 1e300 --tau 20 -o {out}".split()
+    assert main(argv) == cli.EXIT_NUMERICAL
+    assert "not finite" in _one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_2():

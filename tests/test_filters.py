@@ -15,6 +15,7 @@ from entdyn.filters import (
     filter_numeric,
     filter_pdd,
     filter_weight,
+    ou_exponents,
 )
 from entdyn.grid import TimeGrid
 from entdyn.noise import NoiseModel
@@ -244,3 +245,49 @@ def test_analytic_series_ou_free():
     expected = [math.exp(-chi_free_ou(1.0, 20.0, t)) for t in grid.times]
     np.testing.assert_allclose(series.concurrence, expected, atol=5e-6)
     np.testing.assert_allclose(series.e_hidden, 1.0 - series.e_f, atol=1e-12)
+
+
+def _oracle_chi(tau, protocol, times):
+    return np.array(
+        [0.5 * ou_phase_variance(1.0, tau, pulse_times(protocol, t), t) if t > 0.0 else 0.0 for t in times]
+    )
+
+
+def test_ou_recursion_matches_segment_pair_oracle():
+    grid = TimeGrid(8.0, 161)
+    for tau in (20.0, 100.0, 500.0):
+        for protocol in (FREE, ECHO4, PulseProtocol.pdd(0.25), PulseProtocol.pdd(1.0)):
+            chi = ou_exponents(NoiseModel.ou(1.0, tau), protocol, grid.times)
+            np.testing.assert_allclose(chi, _oracle_chi(tau, protocol, grid.times), rtol=0.0, atol=1e-12)
+
+
+def test_analytic_series_ou_off_grid_pulses():
+    # Library callers need not put pulses on the grid (dt = 0.1 here).
+    grid = TimeGrid(8.0, 81)
+    for protocol in (PulseProtocol.echo(4.003), PulseProtocol.pdd(0.37)):
+        series = analytic_series(NoiseModel.ou(1.0, 20.0), protocol, grid)
+        chi = -np.log(series.concurrence)
+        np.testing.assert_allclose(chi, _oracle_chi(20.0, protocol, grid.times), rtol=0.0, atol=1e-12)
+
+
+def test_ou_recursion_quasistatic_limit():
+    # |chi - sigma^2 Y^2 / 2| <= sigma^2 t^3 / tau; at tau = 1e9 this needs
+    # x - (1 - e^{-x}) without cancellation (the direct form is off by ~1e-7).
+    tau, grid = 1e9, TimeGrid(8.0, 801)
+    for protocol in (FREE, ECHO4, PulseProtocol.pdd(0.25), PulseProtocol.pdd(1.0)):
+        chi = ou_exponents(NoiseModel.ou(1.0, tau), protocol, grid.times)
+        y = np.array([toggling_integral(protocol, t) for t in grid.times])
+        assert np.all(np.abs(chi - 0.5 * y**2) <= grid.times**3 / tau)
+
+
+def test_ou_recursion_nonfinite_raises():
+    with pytest.raises(NumericalError):
+        analytic_series(NoiseModel.ou(1e300, 20.0), FREE, TimeGrid(8.0, 11))
+    with pytest.raises(NumericalError):
+        ou_exponents(NoiseModel.ou(1e150, 1e10), FREE, TimeGrid(1e10, 3).times)
+
+
+def test_spectral_panel_cap_raises():
+    # Without the cap this asks for ~2.5e14 panels.
+    with pytest.raises(NumericalError, match="panels"):
+        concurrence_spectral(NoiseModel.ou(1.0, 1e-12), FREE, 8.0)
