@@ -30,11 +30,10 @@ from .linalg import (
     PSI_PLUS,
     hermitian_eigen,
     partial_trace,
-    psd_sqrt,
     tensor_product,
     von_neumann_entropy,
 )
-from .mc import DephasingRun, accumulate_phase, run, trajectory_state
+from .mc import DephasingRun, run
 from .measures import (
     EntanglementReport,
     WeightedEnsemble,
@@ -45,7 +44,7 @@ from .measures import (
     eof_from_concurrence,
     hidden_entanglement,
 )
-from .noise import NoiseModel, NoiseTrajectory, power_spectrum, sample_ou, sample_static
+from .noise import NoiseModel, power_spectrum
 from .pulses import PulseProtocol, pulse_times, pulse_unitary, toggling
 from .scenarios import (
     JCScenario,
@@ -64,7 +63,6 @@ __all__ = [
     "EntanglementSeries",
     "JCScenario",
     "NoiseModel",
-    "NoiseTrajectory",
     "NumericalError",
     "PHI_MINUS",
     "PHI_PLUS",
@@ -74,7 +72,6 @@ __all__ = [
     "RandomFieldScenario",
     "TimeGrid",
     "WeightedEnsemble",
-    "accumulate_phase",
     "analytic_series",
     "average_entanglement",
     "concurrence_mixed",
@@ -95,16 +92,12 @@ __all__ = [
     "jc_state",
     "partial_trace",
     "power_spectrum",
-    "psd_sqrt",
     "pulse_times",
     "pulse_unitary",
     "random_field_ensemble",
     "random_field_series",
     "run",
-    "sample_ou",
-    "sample_static",
     "tensor_product",
     "toggling",
-    "trajectory_state",
     "von_neumann_entropy",
 ]

@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from .grid import TimeGrid
-from .measures import eof_from_concurrence
 from .noise import ORNSTEIN_UHLENBECK, STATIC, NoiseModel, power_spectrum
 from .pulses import ECHO, PDD, PulseProtocol, pulse_times, toggling_integral
 from .series import EntanglementSeries
@@ -178,6 +177,23 @@ def _gauss_panels(fn, bounds: np.ndarray) -> float:
     return float(np.dot(vals @ _GAUSS_WEIGHTS, half))
 
 
+def _refined(fn, bounds: np.ndarray, abs_tol: float, max_refinements: int) -> float:
+    """Integral of fn / 2 pi over the panels, bisected globally until it moves by <= abs_tol."""
+    value = _gauss_panels(fn, bounds) / (2.0 * math.pi)
+    if not math.isfinite(value):
+        raise NumericalError(f"spectral dephasing exponent is not finite ({value!r})")
+    for _ in range(max_refinements):
+        _check_panels(2 * (len(bounds) - 1))
+        bounds = np.sort(np.concatenate([bounds, 0.5 * (bounds[:-1] + bounds[1:])]))
+        refined = _gauss_panels(fn, bounds) / (2.0 * math.pi)
+        if abs(refined - value) <= abs_tol:
+            return refined
+        value = refined
+    raise NumericalError(
+        f"spectral integral did not converge to {abs_tol} after {max_refinements} refinements"
+    )
+
+
 def dephasing_exponent(
     noise: NoiseModel,
     protocol: PulseProtocol,
@@ -189,8 +205,11 @@ def dephasing_exponent(
     """Exponent chi(t) = 1/2 int dw/2pi S(w) F(w,t)/w^2 for OU noise.
 
     Composite Gauss-Legendre panels on [0, omega_max], bisected globally until
-    the exponent moves by less than abs_tol; raises NumericalError otherwise,
-    or when the panel count would exceed a fixed cap.
+    the exponent moves by at most abs_tol. The cutoff omega_max (set by
+    omega_max_scale) then doubles, each new band [omega_max, 2 omega_max]
+    integrated the same way, until a band moves the exponent by at most
+    abs_tol. Raises NumericalError when a step does not converge, when the
+    exponent is not finite, or when the panel count would exceed a fixed cap.
     """
     if noise.kind != ORNSTEIN_UHLENBECK:
         raise ValueError("spectral exponent is defined for OU noise only")
@@ -204,18 +223,16 @@ def dephasing_exponent(
 
     omega_max = _omega_max(noise, protocol, t, omega_max_scale)
     _check_panels(omega_max / (math.pi / t))
-    bounds = _panel_bounds(noise, t, omega_max)
-    chi = _gauss_panels(integrand, bounds) / (2.0 * math.pi)
-    for _ in range(max_refinements):
-        _check_panels(2 * (len(bounds) - 1))
-        bounds = np.sort(np.concatenate([bounds, 0.5 * (bounds[:-1] + bounds[1:])]))
-        refined = _gauss_panels(integrand, bounds) / (2.0 * math.pi)
-        if abs(refined - chi) <= abs_tol:
-            return refined
-        chi = refined
-    raise NumericalError(
-        f"spectral integral did not converge to {abs_tol} after {max_refinements} refinements"
-    )
+    chi = _refined(integrand, _panel_bounds(noise, t, omega_max), abs_tol, max_refinements)
+    while True:
+        panels = 2.0 * omega_max / (math.pi / t)
+        _check_panels(panels)
+        band = np.linspace(omega_max, 2.0 * omega_max, math.ceil(0.5 * panels) + 1)
+        tail = _refined(integrand, band, abs_tol, max_refinements)
+        chi += tail
+        omega_max *= 2.0
+        if abs(tail) <= abs_tol:
+            return chi
 
 
 def concurrence_spectral(
@@ -284,6 +301,4 @@ def analytic_series(noise: NoiseModel, protocol: PulseProtocol, grid: TimeGrid) 
             conc[j] = concurrence_static(noise.sigma, protocol, float(t))
     else:
         conc = np.exp(-ou_exponents(noise, protocol, times))
-    e_f = np.array([eof_from_concurrence(c) for c in conc])
-    e_av = np.ones_like(times)
-    return EntanglementSeries(grid, conc, e_f, e_av, e_av - e_f)
+    return EntanglementSeries(grid, conc, 1.0)

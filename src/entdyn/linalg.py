@@ -28,11 +28,6 @@ PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
 def check_state_vector(psi, dim: int | None = None) -> np.ndarray:
     """Validate a pure state: 1-D, complex, unit norm to 1e-12."""
     psi = np.asarray(psi, dtype=complex)
@@ -118,15 +113,6 @@ def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     m = check_hermitian(m)
     w, v = np.linalg.eigh(m)
     return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
-
-
-def psd_sqrt(rho) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-1e-10, 0) are clamped to 0."""
-    w, v = hermitian_eigen(rho)
-    if float(w[-1]) < EIG_FLOOR:
-        raise ValueError(f"matrix is not PSD: eigenvalue {float(w[-1]):.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def von_neumann_entropy(rho) -> float:

@@ -84,15 +84,6 @@ def entropy_of_entanglement(psi) -> float:
     return von_neumann_entropy(partial_trace(projector(psi), 0, (2, 2)))
 
 
-def _eof_vec(c: np.ndarray) -> np.ndarray:
-    """eof_from_concurrence over an array, same endpoint conventions."""
-    c = np.clip(np.asarray(c, dtype=float), 0.0, 1.0)
-    x = 0.5 * (1.0 + np.sqrt(1.0 - c * c))
-    xi = np.clip(x, 1e-15, 1.0 - 1e-15)
-    h = -(xi * np.log2(xi) + (1.0 - xi) * np.log2(1.0 - xi))
-    return np.where(x >= 1.0 - 1e-15, 0.0, h)
-
-
 @dataclass(eq=False)
 class WeightedEnsemble:
     """Physical decomposition {(p_i, |psi_i>)} of a two-qubit state."""

@@ -57,14 +57,6 @@ class NoiseModel:
         return cls(ORNSTEIN_UHLENBECK, sigma, tau)
 
 
-@dataclass(frozen=True)
-class NoiseTrajectory:
-    """One sampled realization of the process on a uniform grid."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-
 def power_spectrum(model: NoiseModel, omega):
     """Lorentzian spectrum 2 sigma^2 tau / (1 + (omega tau)^2) of the OU process.
 
@@ -74,7 +66,8 @@ def power_spectrum(model: NoiseModel, omega):
     if model.kind != ORNSTEIN_UHLENBECK:
         raise ValueError("power_spectrum is defined for OU noise only")
     omega = np.asarray(omega, dtype=float)
-    out = 2.0 * model.sigma**2 * model.tau / (1.0 + (omega * model.tau) ** 2)
+    # sigma * sigma overflows to inf where sigma**2 raises OverflowError.
+    out = 2.0 * (model.sigma * model.sigma) * model.tau / (1.0 + (omega * model.tau) ** 2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -144,26 +137,11 @@ def _ou_block(model: NoiseModel, keys, grid: TimeGrid) -> np.ndarray:
     return eps
 
 
-def sample_static(model: NoiseModel, seed: int, grid: TimeGrid) -> NoiseTrajectory:
-    """Constant trajectory eps(t) = eps with eps ~ N(0, sigma^2), keyed by seed."""
-    if model.kind != STATIC:
-        raise ValueError(f"sample_static called with noise kind {model.kind!r}")
-    value = float(_static_block(model, [seed])[0])
-    return NoiseTrajectory(grid, np.full(grid.n_points, value))
-
-
-def sample_ou(model: NoiseModel, seed: int, grid: TimeGrid) -> NoiseTrajectory:
-    """One stationary OU path on the grid, keyed by seed."""
-    if model.kind != ORNSTEIN_UHLENBECK:
-        raise ValueError(f"sample_ou called with noise kind {model.kind!r}")
-    return NoiseTrajectory(grid, _ou_block(model, [seed], grid)[0])
-
-
 def sample_block(model: NoiseModel, master_seed: int, indices, grid: TimeGrid) -> np.ndarray:
     """Paths for the given trajectory indices, shape (len(indices), n_points).
 
-    Row k is bit-identical to the scalar sampler called with
-    ``trajectory_seed(master_seed, indices[k])``.
+    Row k depends only on ``(model, master_seed, indices[k], grid)``, so any
+    subset or order of indices reproduces the same rows bit for bit.
     """
     keys = trajectory_seed(master_seed, indices)
     if model.kind == STATIC:

@@ -30,12 +30,7 @@ from .linalg import (
     projector,
     tensor_product,
 )
-from .measures import (
-    WeightedEnsemble,
-    average_entanglement,
-    concurrence_mixed,
-    eof_from_concurrence,
-)
+from .measures import WeightedEnsemble, average_entanglement, concurrence_mixed
 from .series import EntanglementSeries
 
 _MEMBER_FLOOR = 1e-12
@@ -87,8 +82,7 @@ def random_field_series(scenario: RandomFieldScenario) -> EntanglementSeries:
         ensemble = random_field_ensemble(scenario, float(t))
         conc[j] = concurrence_mixed(ensemble.density_matrix())
         e_av[j] = average_entanglement(ensemble)
-    e_f = np.array([eof_from_concurrence(c) for c in conc])
-    return EntanglementSeries(scenario.grid, conc, e_f, e_av, e_av - e_f)
+    return EntanglementSeries(scenario.grid, conc, e_av)
 
 
 def jc_state(scenario: JCScenario, t: float) -> np.ndarray:
@@ -135,27 +129,12 @@ def jc_ensemble(scenario: JCScenario, t: float) -> WeightedEnsemble:
     return WeightedEnsemble(members)
 
 
-def jc_closed_form(eta: float) -> tuple[float, float]:
-    """(E_f, E_av) as functions of eta = cos^2(gt/2).
-
-    E_f = f(sqrt(eta)) and E_av = (1 + eta)/2 * f(2 sqrt(eta)/(1 + eta)) with
-    f the concurrence-to-EoF map.
-    """
-    if not 0.0 <= eta <= 1.0 + 1e-12:
-        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-    eta = min(eta, 1.0)
-    root = math.sqrt(eta)
-    e_f = eof_from_concurrence(root)
-    e_av = 0.5 * (1.0 + eta) * eof_from_concurrence(2.0 * root / (1.0 + eta))
-    return e_f, e_av
-
-
 def jc_measures(scenario: JCScenario) -> EntanglementSeries:
     """Entanglement series of the exchange scenario.
 
-    E_f comes from the traced tripartite state through the Wootters
-    procedure, E_av from the measurement ensemble; the closed forms above are
-    the test oracle for both. The emitted gap is E_av - E_f >= 0.
+    The concurrence comes from the traced tripartite state through the
+    Wootters procedure, E_av from the measurement ensemble. The emitted gap
+    is E_av - E_f >= 0.
     """
     n = scenario.grid.n_points
     conc = np.empty(n)
@@ -164,5 +143,4 @@ def jc_measures(scenario: JCScenario) -> EntanglementSeries:
         rho_ab = partial_trace(projector(jc_state(scenario, float(t))), 0, (4, 2))
         conc[j] = concurrence_mixed(rho_ab)
         e_av[j] = average_entanglement(jc_ensemble(scenario, float(t)))
-    e_f = np.array([eof_from_concurrence(c) for c in conc])
-    return EntanglementSeries(scenario.grid, conc, e_f, e_av, e_av - e_f)
+    return EntanglementSeries(scenario.grid, conc, e_av)

@@ -1,31 +1,47 @@
-"""Time series of entanglement measures produced by the engines."""
+"""Time series of entanglement measures produced by the engines.
+
+Every engine hands over two columns, the concurrence of the averaged state
+and the ensemble-average entanglement E_av; this is the one place that
+derives the entanglement of formation E_f = EoF(C) and the hidden gap
+E_av - E_f from them.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import TimeGrid
+from .measures import eof_from_concurrence
 
 
 @dataclass(frozen=True)
 class EntanglementSeries:
-    """Per grid point: concurrence, EoF, ensemble-average entanglement, gap."""
+    """Per grid point: concurrence, EoF, ensemble-average entanglement, gap.
+
+    Built from ``(grid, concurrence, e_av)``; a scalar column is held
+    constant over the grid. ``e_f`` and ``e_hidden`` are derived.
+    """
 
     grid: TimeGrid
     concurrence: np.ndarray
-    e_f: np.ndarray
     e_av: np.ndarray
-    e_hidden: np.ndarray
+    e_f: np.ndarray = field(init=False)
+    e_hidden: np.ndarray = field(init=False)
 
     def __post_init__(self):
         n = self.grid.n_points
-        for name in ("concurrence", "e_f", "e_av", "e_hidden"):
+        for name in ("concurrence", "e_av"):
             col = np.asarray(getattr(self, name), dtype=float)
+            if col.ndim == 0:
+                col = np.full(n, float(col))
             if col.shape != (n,):
                 raise ValueError(f"column {name} has shape {col.shape}, expected ({n},)")
             object.__setattr__(self, name, col)
+        e_f = np.array([eof_from_concurrence(c) for c in self.concurrence])
+        object.__setattr__(self, "e_f", e_f)
+        object.__setattr__(self, "e_hidden", self.e_av - e_f)
 
     @property
     def times(self) -> np.ndarray:

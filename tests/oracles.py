@@ -4,17 +4,26 @@ Everything here is deliberately implemented through a different route than
 the library code it checks: the Wootters spectrum via a general complex
 eigensolver instead of the Hermitian square-root form, dephasing exponents
 via time-domain double integrals of the autocorrelation instead of spectral
-quadrature, and the toggling transform summed directly in test code.
+quadrature, the toggling transform summed directly in test code, and the
+Monte Carlo measures via a stepwise propagator on each trajectory's state
+instead of the closed forms |m| C(v) and EoF(C(v)).
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from entdyn.measures import concurrence_mixed
+from entdyn.noise import sample_block
+from entdyn.pulses import pulse_grid_indices, pulse_unitary
+
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY)
+# sz eigenvalue of qubit A on each two-qubit basis state |ab>
+_SZ_A = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:
@@ -135,3 +144,76 @@ def chi_echo_ou_refocus(sigma: float, tau: float, tbar: float) -> float:
     """Echo exponent at the refocusing time t = 2 tbar."""
     u = tbar / tau
     return sigma**2 * tau**2 * (2.0 * u - 3.0 + 4.0 * math.exp(-u) - math.exp(-2.0 * u))
+
+
+def jc_closed_form(eta: float) -> tuple[float, float]:
+    """(E_f, E_av) of the oscillator-exchange scenario at eta = cos^2(gt/2).
+
+    E_f = f(sqrt(eta)) and E_av = (1 + eta)/2 * f(2 sqrt(eta)/(1 + eta)) with
+    f the concurrence-to-EoF map.
+    """
+    if not 0.0 <= eta <= 1.0 + 1e-12:
+        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
+    eta = min(eta, 1.0)
+    root = math.sqrt(eta)
+    e_f = eof_of_concurrence(root)
+    e_av = 0.5 * (1.0 + eta) * eof_of_concurrence(2.0 * root / (1.0 + eta))
+    return e_f, e_av
+
+
+def trajectory_state(initial: np.ndarray, phi) -> np.ndarray:
+    """Dephased state exp(-i sz_A phi / 2) |initial>, row by row for arrays of states and phases."""
+    return np.asarray(initial, dtype=complex) * np.exp(-0.5j * np.multiply.outer(phi, _SZ_A))
+
+
+def density_from_coherence(initial: np.ndarray, coherence: complex) -> np.ndarray:
+    """Ensemble density matrix given the mean dephasing factor m = <exp(-i phi)>.
+
+    rho_il = v_i v_l* <exp(-i (s_i - s_l) phi / 2)>: the factor is 1 on
+    blocks with equal sz_A and m (or its conjugate) across blocks.
+    """
+    v = np.asarray(initial, dtype=complex)
+    m = complex(coherence)
+    diff = _SZ_A[:, None] - _SZ_A[None, :]
+    factor = np.ones((4, 4), dtype=complex)
+    factor[diff > 0] = m
+    factor[diff < 0] = np.conj(m)
+    return np.outer(v, v.conj()) * factor
+
+
+def _schmidt_entropy(psi: np.ndarray) -> np.ndarray:
+    """Entropy of entanglement of each row of psi, from its Schmidt coefficients."""
+    p = np.linalg.svd(psi.reshape(-1, 2, 2), compute_uv=False) ** 2
+    logs = np.log2(np.where(p > 0.0, p, 1.0))
+    return -(p * logs).sum(axis=1)
+
+
+def propagator_series(config) -> SimpleNamespace:
+    """Monte Carlo measures of a DephasingRun by stepwise propagation.
+
+    Each trajectory's state is advanced interval by interval with
+    exp(-i sz_A theta / 2) (theta the trapezoidal phase increment) and the
+    pi-pulse unitary applied to qubit A at its grid point. The averaged
+    density matrix gives the concurrence (Wootters) and E_f; E_av averages
+    the members' Schmidt entropies. Same noise draws as the engine.
+    """
+    grid = config.grid
+    n = grid.n_points
+    eps = sample_block(config.noise, config.master_seed, np.arange(config.n_traj), grid)
+    eps -= config.omega_a
+    pulse_at = np.zeros(n, dtype=bool)
+    pulse_at[pulse_grid_indices(config.protocol, grid)] = True
+    pulse = np.kron(pulse_unitary(), np.eye(2))
+    psi = np.tile(np.asarray(config.initial_state, dtype=complex), (config.n_traj, 1))
+    conc = np.empty(n)
+    e_av = np.empty(n)
+    for j in range(n):
+        if j > 0:
+            psi = trajectory_state(psi, 0.5 * grid.dt * (eps[:, j - 1] + eps[:, j]))
+            if pulse_at[j]:
+                psi = psi @ pulse.T
+        rho = np.einsum("bi,bl->il", psi, psi.conj()) / config.n_traj
+        conc[j] = concurrence_mixed(0.5 * (rho + rho.conj().T))
+        e_av[j] = _schmidt_entropy(psi).mean()
+    e_f = np.array([eof_of_concurrence(c) for c in conc])
+    return SimpleNamespace(concurrence=conc, e_f=e_f, e_av=e_av)

@@ -28,12 +28,11 @@ from entdyn.pulses import PulseProtocol
 from entdyn.scenarios import (
     JCScenario,
     RandomFieldScenario,
-    jc_closed_form,
     jc_measures,
     random_field_series,
 )
 from cli_command import run_entdyn
-from oracles import random_state
+from oracles import jc_closed_form, random_state
 
 GRID = TimeGrid(8.0, 801)
 N_TRAJ = 100_000

@@ -18,7 +18,7 @@ from entdyn.filters import (
     ou_exponents,
 )
 from entdyn.grid import TimeGrid
-from entdyn.noise import NoiseModel
+from entdyn.noise import NoiseModel, power_spectrum
 from entdyn.pulses import PulseProtocol, pulse_times, toggling_integral
 from oracles import (
     chi_echo_ou_refocus,
@@ -160,18 +160,40 @@ def test_spectral_pdd_matches_time_domain_oracle():
 
 
 def test_spectral_matches_scipy_quadrature():
-    # Same interval for both integrators, so this isolates quadrature fidelity
-    # from the cutoff truncation tested elsewhere.
+    # The engine extends its initial cutoff until the tail is below abs_tol,
+    # so the reference integrates the whole half-line: [0, omega_max] and the
+    # tail beyond it (1.3e-8 here) as two scipy calls.
     noise = NoiseModel.ou(1.0, 50.0)
-    omega_max = 100.0 * 4.0 * 0.25  # the engine's cutoff rule at scale 4, tbar = 4
+    omega_max = 100.0 * 4.0 * 0.25  # the engine's initial cutoff at scale 4, tbar = 4
 
     def integrand(w):
         s = 2.0 * noise.sigma**2 * noise.tau / (1.0 + (w * noise.tau) ** 2)
         return s * toggling_transform_sq(pulse_times(ECHO4, 8.0), w, 8.0)
 
-    reference, _ = quad(integrand, 0.0, omega_max, limit=2000, epsabs=1e-12, epsrel=1e-12)
+    body, _ = quad(integrand, 0.0, omega_max, limit=2000, epsabs=1e-12, epsrel=1e-12)
+    tail, _ = quad(integrand, omega_max, math.inf, limit=10_000, epsabs=1e-13, epsrel=1e-10)
+    reference = body + tail
     chi = dephasing_exponent(noise, ECHO4, 8.0, omega_max_scale=4.0)
     assert chi == pytest.approx(reference / (2.0 * math.pi), abs=1e-8)
+
+
+def test_spectral_cutoff_meets_abs_tol():
+    # The initial cutoff alone misses chi by up to 5.3e-6 (free, tau 20, t 8);
+    # abs_tol must bound the whole error, truncation included.
+    for protocol in (FREE, ECHO4, PulseProtocol.pdd(1.0)):
+        for tau in (20.0, 500.0):
+            chi = dephasing_exponent(NoiseModel.ou(1.0, tau), protocol, 8.0, abs_tol=1e-9)
+            exact = 0.5 * ou_phase_variance(1.0, tau, pulse_times(protocol, 8.0), 8.0)
+            assert abs(chi - exact) <= 1e-9
+
+
+def test_spectral_overflow_raises_numerical_error():
+    # sigma^2 overflows: the spectrum is inf, not an OverflowError, and the
+    # non-finite exponent is a NumericalError.
+    noise = NoiseModel.ou(1e300, 20.0)
+    assert power_spectrum(noise, 0.0) == math.inf
+    with pytest.raises(NumericalError, match="not finite"):
+        concurrence_spectral(noise, FREE, 8.0)
 
 
 def test_spectral_static_limit_proxy():

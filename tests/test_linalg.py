@@ -14,7 +14,6 @@ from entdyn.linalg import (
     hermitian_eigen,
     partial_trace,
     projector,
-    psd_sqrt,
     tensor_product,
     von_neumann_entropy,
 )
@@ -106,33 +105,6 @@ def test_hermitian_eigen_reconstruction():
 def test_hermitian_eigen_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_psd_sqrt_scaled_identity():
-    assert_allclose(psd_sqrt(np.eye(4) / 4), np.eye(4) / 2, atol=1e-12)
-
-
-def test_psd_sqrt_projector_idempotent():
-    rng = np.random.default_rng(3)
-    p = projector(random_state(rng, 4))
-    assert_allclose(psd_sqrt(p), p, atol=1e-9)
-
-
-def test_psd_sqrt_diagonal():
-    rho = np.diag([0.64, 0.36, 0.0, 0.0]).astype(complex)
-    assert_allclose(psd_sqrt(rho), np.diag([0.8, 0.6, 0.0, 0.0]), atol=1e-12)
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(9)
-    rho = random_density(rng, 4)
-    s = psd_sqrt(rho)
-    assert np.max(np.abs(s @ s - rho)) <= 1e-9
-
-
-def test_psd_sqrt_rejects_negative_eigenvalue():
-    with pytest.raises(ValueError):
-        psd_sqrt(np.diag([1.0, -1e-6]))
 
 
 def test_entropy_pure_state():

@@ -6,18 +6,18 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from entdyn.grid import TimeGrid
 from entdyn.linalg import PHI_MINUS, PHI_PLUS, check_density_matrix
-from entdyn.mc import (
-    DephasingRun,
-    accumulate_phase,
-    coherence_series,
+from entdyn.mc import DephasingRun, _phase_block, coherence_series, run
+from entdyn.measures import concurrence_mixed, concurrence_pure
+from entdyn.noise import NoiseModel
+from entdyn.pulses import PulseProtocol
+from oracles import (
+    chi_free_ou,
     density_from_coherence,
-    run,
+    propagator_series,
+    random_state,
+    random_unitary,
     trajectory_state,
 )
-from entdyn.measures import concurrence_mixed, concurrence_pure
-from entdyn.noise import NoiseModel, NoiseTrajectory
-from entdyn.pulses import PulseProtocol
-from oracles import chi_free_ou, random_unitary
 
 GRID = TimeGrid(8.0, 801)
 STATIC = NoiseModel.static(1.0)
@@ -26,30 +26,31 @@ ECHO4 = PulseProtocol.echo(4.0)
 FREE = PulseProtocol.free()
 
 
-def constant_trajectory(value: float, grid: TimeGrid = GRID) -> NoiseTrajectory:
-    return NoiseTrajectory(grid, np.full(grid.n_points, value))
+def constant_phase(value: float, protocol: PulseProtocol, grid: TimeGrid = GRID) -> np.ndarray:
+    """Accumulated phase of one realization with constant eps, shape (n_points,)."""
+    return _phase_block(np.full((1, grid.n_points), value), grid, protocol)[0]
 
 
 def test_accumulate_phase_constant_free():
-    phi = accumulate_phase(constant_trajectory(0.7), FREE)
+    phi = constant_phase(0.7, FREE)
     assert_allclose(phi, 0.7 * GRID.times, atol=1e-12)
 
 
 def test_accumulate_phase_echo_cancels_exactly():
-    phi = accumulate_phase(constant_trajectory(1.3), ECHO4)
+    phi = constant_phase(1.3, ECHO4)
     assert phi[-1] == 0.0  # t = 2 tbar refocuses every static realization
     assert phi[400] == pytest.approx(1.3 * 4.0, rel=1e-12)
 
 
 def test_accumulate_phase_pdd_parity_cancellation():
-    phi = accumulate_phase(constant_trajectory(2.1), PulseProtocol.pdd(1.0))
+    phi = constant_phase(2.1, PulseProtocol.pdd(1.0))
     for k in (2, 4, 6, 8):
         assert phi[GRID.index_of(float(k))] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_accumulate_phase_rejects_off_grid_pulse():
     with pytest.raises(ValueError, match="not on the time grid"):
-        accumulate_phase(constant_trajectory(1.0), PulseProtocol.echo(4.0042))
+        constant_phase(1.0, PulseProtocol.echo(4.0042))
 
 
 def test_trajectory_state_identity():
@@ -123,31 +124,55 @@ def test_deterministic_across_calls():
     assert_array_equal(run(cfg).concurrence, run(cfg).concurrence)
 
 
-def test_propagator_path_agrees_with_scalar_path():
-    grid = TimeGrid(8.0, 81)
-    base = dict(noise=OU20, protocol=ECHO4, grid=grid, n_traj=400, master_seed=29)
-    scalar = run(DephasingRun(**base))
-    stepped = run(DephasingRun(**base, use_propagator=True))
+def assert_matches_propagator(cfg: DephasingRun):
+    scalar = run(cfg)
+    stepped = propagator_series(cfg)
     assert np.max(np.abs(scalar.concurrence - stepped.concurrence)) <= 1e-9
     assert np.max(np.abs(scalar.e_f - stepped.e_f)) <= 1e-9
     assert np.max(np.abs(scalar.e_av - stepped.e_av)) <= 1e-9
 
 
+def test_propagator_path_agrees_with_scalar_path():
+    assert_matches_propagator(DephasingRun(OU20, ECHO4, TimeGrid(8.0, 81), 400, 29))
+
+
 def test_propagator_path_agrees_for_pdd():
-    grid = TimeGrid(4.0, 41)
-    base = dict(noise=STATIC, protocol=PulseProtocol.pdd(1.0), grid=grid, n_traj=300, master_seed=31)
-    scalar = run(DephasingRun(**base))
-    stepped = run(DephasingRun(**base, use_propagator=True))
-    assert np.max(np.abs(scalar.concurrence - stepped.concurrence)) <= 1e-9
+    assert_matches_propagator(DephasingRun(STATIC, PulseProtocol.pdd(1.0), TimeGrid(4.0, 41), 300, 31))
+
+
+def test_propagator_path_agrees_for_non_bell_states():
+    # Partially entangled, complex initial states: C = |m| C(v) and
+    # E_av = EoF(C(v)) against the stepwise propagator.
+    rng = np.random.default_rng(67)
+    for k, (noise, protocol) in enumerate(((OU20, ECHO4), (STATIC, PulseProtocol.pdd(1.0)), (OU20, FREE))):
+        v = random_state(rng)
+        assert concurrence_pure(v) < 0.99
+        assert_matches_propagator(DephasingRun(noise, protocol, TimeGrid(4.0, 41), 300, 83 + k, initial_state=v))
 
 
 def test_b_unitary_leaves_measures_unchanged():
+    # A local unitary on qubit B, applied to the initial state, changes no measure.
     grid = TimeGrid(4.0, 41)
     rng = np.random.default_rng(37)
-    base = run(DephasingRun(OU20, FREE, grid, 1_000, 41))
-    rotated = run(DephasingRun(OU20, FREE, grid, 1_000, 41, b_unitary=random_unitary(rng, 2)))
-    assert_allclose(base.concurrence, rotated.concurrence, atol=1e-12)
-    assert_allclose(base.e_av, rotated.e_av, atol=1e-12)
+    v = random_state(rng)
+    rotated = np.kron(np.eye(2), random_unitary(rng, 2)) @ v
+    base = run(DephasingRun(OU20, FREE, grid, 1_000, 41, initial_state=v))
+    turned = run(DephasingRun(OU20, FREE, grid, 1_000, 41, initial_state=rotated))
+    assert_allclose(base.concurrence, turned.concurrence, atol=1e-12)
+    assert_allclose(base.e_av, turned.e_av, atol=1e-12)
+
+
+def test_concurrence_factorizes_over_coherence():
+    # Wootters on the dephased state equals |m| C(v), |m| from 0 to 1.
+    rng = np.random.default_rng(73)
+    magnitudes = np.concatenate([[0.0, 1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12, 1.0], rng.random(1200)])
+    worst = 0.0
+    for k, r in enumerate(magnitudes):
+        v = PHI_PLUS if k % 5 == 0 else random_state(rng)
+        m = r * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        closed = abs(m) * concurrence_pure(v)
+        worst = max(worst, abs(closed - concurrence_mixed(density_from_coherence(v, m))))
+    assert worst <= 1e-12
 
 
 def test_deterministic_splitting_leaves_measures_unchanged():
@@ -196,5 +221,3 @@ def test_run_validation():
         DephasingRun(STATIC, FREE, GRID, 0, 1)
     with pytest.raises(ValueError):
         DephasingRun(STATIC, FREE, GRID, 10, 1, initial_state=np.ones(4))
-    with pytest.raises(ValueError):
-        DephasingRun(STATIC, FREE, GRID, 10, 1, b_unitary=np.ones((2, 2)))

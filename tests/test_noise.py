@@ -9,8 +9,6 @@ from entdyn.noise import (
     NoiseModel,
     power_spectrum,
     sample_block,
-    sample_ou,
-    sample_static,
     trajectory_seed,
 )
 
@@ -28,17 +26,17 @@ def test_model_validation():
 
 def test_static_determinism():
     model = NoiseModel.static(1.3)
-    a = sample_static(model, 987654321, GRID)
-    b = sample_static(model, 987654321, GRID)
-    assert_array_equal(a.values, b.values)
-    c = sample_static(model, 987654322, GRID)
-    assert a.values[0] != c.values[0]
+    a = sample_block(model, 987654321, np.arange(8), GRID)
+    b = sample_block(model, 987654321, np.array([5]), GRID)
+    assert_array_equal(a[5], b[0])
+    c = sample_block(model, 987654322, np.arange(8), GRID)
+    assert a[5, 0] != c[5, 0]
 
 
 def test_static_is_constant_per_trajectory():
     model = NoiseModel.static(2.0)
-    traj = sample_static(model, 5, GRID)
-    assert np.all(traj.values == traj.values[0])
+    block = sample_block(model, 5, np.arange(4), GRID)
+    assert np.all(block == block[:, :1])
 
 
 def test_static_moments():
@@ -50,30 +48,24 @@ def test_static_moments():
 
 
 def test_static_degenerate_sigma():
-    traj = sample_static(NoiseModel.static(1e-12), 9, GRID)
-    assert np.max(np.abs(traj.values)) < 1e-10
-
-
-def test_static_rejects_wrong_kind():
-    with pytest.raises(ValueError):
-        sample_static(NoiseModel.ou(1.0, 1.0), 0, GRID)
-    with pytest.raises(ValueError):
-        sample_ou(NoiseModel.static(1.0), 0, GRID)
+    block = sample_block(NoiseModel.static(1e-12), 9, np.arange(4), GRID)
+    assert np.max(np.abs(block)) < 1e-10
 
 
 def test_ou_determinism():
     model = NoiseModel.ou(1.0, 3.0)
-    a = sample_ou(model, 77, GRID)
-    b = sample_ou(model, 77, GRID)
-    assert_array_equal(a.values, b.values)
+    a = sample_block(model, 77, np.arange(4), GRID)
+    b = sample_block(model, 77, np.arange(4), GRID)
+    assert_array_equal(a, b)
 
 
 def test_ou_block_matches_scalar_sampler():
+    # Any subset or order of indices reproduces the same rows.
     model = NoiseModel.ou(0.8, 5.0)
     block = sample_block(model, 424242, np.arange(16), GRID)
     for k in (0, 7, 15):
-        traj = sample_ou(model, int(trajectory_seed(424242, k)), GRID)
-        assert_array_equal(block[k], traj.values)
+        assert_array_equal(block[k], sample_block(model, 424242, np.array([k]), GRID)[0])
+    assert_array_equal(block[[15, 3, 9]], sample_block(model, 424242, np.array([15, 3, 9]), GRID))
 
 
 def test_ou_long_correlation_time_is_quasistatic():

@@ -1,0 +1,32 @@
+"""The public names and the layer hooks of the benchmark tracer exist."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import entdyn
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing_hooks():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.HOOKS
+
+
+def test_public_names_resolve():
+    missing = [name for name in entdyn.__all__ if not hasattr(entdyn, name)]
+    assert missing == []
+    assert len(set(entdyn.__all__)) == len(entdyn.__all__)
+
+
+def test_traced_functions_exist():
+    # A renamed target would turn its per-layer benchmark metric into null.
+    missing = []
+    for module_name, attr, span, _counter in _tracing_hooks():
+        module = importlib.import_module(f"entdyn.{module_name}")
+        if not callable(getattr(module, attr, None)):
+            missing.append((module_name, attr, span))
+    assert missing == []

@@ -14,13 +14,13 @@ from entdyn.measures import (
 from entdyn.scenarios import (
     JCScenario,
     RandomFieldScenario,
-    jc_closed_form,
     jc_ensemble,
     jc_measures,
     jc_state,
     random_field_ensemble,
     random_field_series,
 )
+from oracles import jc_closed_form
 
 RF = RandomFieldScenario(omega=1.0, grid=TimeGrid(2.0 * math.pi, 401))
 JC = JCScenario(g=1.0, grid=TimeGrid(2.0 * math.pi, 401))
