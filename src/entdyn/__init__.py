@@ -45,7 +45,7 @@ from .measures import (
     hidden_entanglement,
 )
 from .noise import NoiseModel, power_spectrum
-from .pulses import PulseProtocol, pulse_times, pulse_unitary, toggling
+from .pulses import PulseProtocol, pulse_times, toggling_steps
 from .scenarios import (
     JCScenario,
     RandomFieldScenario,
@@ -93,11 +93,10 @@ __all__ = [
     "partial_trace",
     "power_spectrum",
     "pulse_times",
-    "pulse_unitary",
     "random_field_ensemble",
     "random_field_series",
     "run",
     "tensor_product",
-    "toggling",
+    "toggling_steps",
     "von_neumann_entropy",
 ]

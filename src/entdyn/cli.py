@@ -20,7 +20,7 @@ from .grid import TimeGrid
 from .io import write_manifest, write_series_csv
 from .mc import DephasingRun, resolve_workers, run
 from .noise import NoiseModel
-from .pulses import PulseProtocol, pulse_grid_indices
+from .pulses import PulseProtocol, toggling_steps
 from .scenarios import JCScenario, RandomFieldScenario, jc_measures, random_field_series
 
 EXIT_OK = 0
@@ -216,7 +216,7 @@ def parse_config(argv=None) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     if protocol is not None:
         try:
-            pulse_grid_indices(protocol, grid)
+            toggling_steps(protocol, grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

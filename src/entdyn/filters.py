@@ -10,11 +10,11 @@ transform for any protocol, the quasistatic closed form, and the quadrature
 of the spectral integral for OU noise (the paper's filter-function
 formulation).
 
-`analytic_series` evaluates OU noise in the time domain instead: y is
-constant between pulses, so chi obeys an exact per-interval recursion that
-gives the whole series in one pass over the grid and pulse times, exact to
-roundoff. It serves as the oracle against which the Monte Carlo engine is
-validated, and vice versa.
+`analytic_series` evaluates both noise kinds in the time domain instead,
+from the toggling step counts of the grid: quasistatic noise by its closed
+form, OU noise by an exact per-interval recursion that gives the whole
+series in one pass over the grid, exact to roundoff. It serves as the
+oracle against which the Monte Carlo engine is validated, and vice versa.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .grid import TimeGrid
 from .noise import ORNSTEIN_UHLENBECK, STATIC, NoiseModel, power_spectrum
-from .pulses import ECHO, PDD, PulseProtocol, pulse_times, toggling_integral
+from .pulses import ECHO, PDD, PulseProtocol, pulse_times, toggling_steps
 from .series import EntanglementSeries
 
 
@@ -127,17 +127,22 @@ def filter_numeric(protocol: PulseProtocol, omega, t: float):
     return float(out) if out.ndim == 0 else out
 
 
-def concurrence_static(sigma: float, protocol: PulseProtocol, t: float) -> float:
-    """Quasistatic closed form exp(-sigma^2 (int_0^t y dt')^2 / 2).
+def concurrence_static(sigma: float, steps, dt: float) -> np.ndarray:
+    """Quasistatic closed form exp(-sigma^2 Y^2 / 2) at the grid points, Y = dt s.
 
-    Reduces to exp(-sigma^2 t^2 / 2) for free evolution and refocuses exactly
-    to 1 at t = 2 tbar for the echo; for pulse trains it is the w -> 0 limit
-    of the spectral formula with a delta spectrum.
+    ``steps`` are the toggling step counts of `pulses.toggling_steps`. This
+    reduces to exp(-sigma^2 t^2 / 2) for free evolution and is exactly 1
+    wherever s = 0, e.g. at t = 2 tbar for the echo; for pulse trains it is
+    the w -> 0 limit of the spectral formula with a delta spectrum. Raises
+    NumericalError when the exponent is not finite.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    y_int = toggling_integral(protocol, t)
-    return math.exp(-0.5 * (sigma * y_int) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi = 0.5 * (sigma * (dt * np.asarray(steps))) ** 2
+    if not np.all(np.isfinite(chi)):
+        raise NumericalError(f"static dephasing exponent is not finite for sigma = {sigma!r}")
+    return np.exp(-chi)
 
 
 def _omega_max(noise: NoiseModel, protocol: PulseProtocol, t: float, scale: float) -> float:
@@ -247,38 +252,33 @@ def concurrence_spectral(
     return math.exp(-chi)
 
 
-def ou_exponents(noise: NoiseModel, protocol: PulseProtocol, times) -> np.ndarray:
-    """Exact OU exponent chi(t) = Var[phi(t)] / 2 at each of the nonnegative ``times``.
+def ou_exponents(noise: NoiseModel, steps, grid: TimeGrid) -> np.ndarray:
+    """Exact OU exponent chi(t_j) = Var[phi(t_j)] / 2 at every grid point.
 
-    With A(s) = int_0^s y(u) e^{-(s-u)/tau} du, a constant-sign interval of
-    length L, x = L/tau and d = 1 - e^{-x} adds sigma^2 (y A tau d +
-    tau^2 (x - d)) to chi and maps A to (1 - d) A + y tau d. The intervals
-    run between 0, the times and the pulse times, merged, so pulses need not
-    sit on the grid. Raises NumericalError when chi is not finite.
+    ``steps`` are the toggling step counts of `pulses.toggling_steps`, so the
+    sign on grid interval j is y_j = s_{j+1} - s_j. With A(s) = int_0^s y(u)
+    e^{-(s-u)/tau} du, an interval of length L, x = L/tau and d = 1 - e^{-x}
+    adds sigma^2 (y A tau d + tau^2 (x - d)) to chi and maps A to
+    (1 - d) A + y tau d. Raises NumericalError when chi is not finite.
     """
     if noise.kind != ORNSTEIN_UHLENBECK:
         raise ValueError("the OU recursion is defined for OU noise only")
-    times = np.asarray(times, dtype=float)
-    if not np.all(times >= 0.0):
-        raise ValueError("times must be nonnegative")
-    pulses = pulse_times(protocol, float(times.max()))
-    knots = np.unique(np.concatenate([[0.0], times, pulses]))
-    signs = np.where(np.searchsorted(pulses, knots[:-1], side="right") % 2, -1.0, 1.0)
     tau = noise.tau
-    x = np.diff(knots) / tau
+    x = np.diff(grid.times) / tau
     d = -np.expm1(-x)
     excess = x - d
     small = x < _SERIES_X
     xs = x[small]
     excess[small] = xs * xs * (0.5 - xs * (1 / 6 - xs * (1 / 24 - xs * (1 / 120 - xs / 720))))
-    at_knots = np.empty(len(knots))
-    at_knots[0] = a = chi = 0.0
-    for k, (y, dk, ek) in enumerate(zip(signs.tolist(), d.tolist(), excess.tolist()), start=1):
+    chis = np.empty(grid.n_points)
+    chis[0] = a = chi = 0.0
+    signs = np.diff(steps).tolist()
+    for k, (y, dk, ek) in enumerate(zip(signs, d.tolist(), excess.tolist()), start=1):
         chi += y * a * tau * dk + tau * tau * ek
         a = (1.0 - dk) * a + y * tau * dk
-        at_knots[k] = chi
+        chis[k] = chi
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (noise.sigma * noise.sigma) * at_knots[np.searchsorted(knots, times)]
+        out = (noise.sigma * noise.sigma) * chis
     if not np.all(np.isfinite(out)):
         raise NumericalError(
             f"OU dephasing exponent is not finite for sigma = {noise.sigma!r}, tau = {tau!r}"
@@ -292,13 +292,12 @@ def analytic_series(noise: NoiseModel, protocol: PulseProtocol, grid: TimeGrid) 
     Every noise realization keeps the pair maximally entangled (dephasing and
     pulses act as local unitaries), so E_av = 1 and the gap is 1 - E_f.
     Quasistatic noise uses its closed form, OU noise the exact recursion of
-    `ou_exponents` (the engines named in ANALYTIC_ENGINES).
+    `ou_exponents` (the engines named in ANALYTIC_ENGINES), both over the
+    toggling step counts. Raises ValueError when a pulse is off the grid.
     """
-    times = grid.times
+    steps = toggling_steps(protocol, grid)
     if noise.kind == STATIC:
-        conc = np.empty_like(times)
-        for j, t in enumerate(times):
-            conc[j] = concurrence_static(noise.sigma, protocol, float(t))
+        conc = concurrence_static(noise.sigma, steps, grid.dt)
     else:
-        conc = np.exp(-ou_exponents(noise, protocol, times))
+        conc = np.exp(-ou_exponents(noise, steps, grid))
     return EntanglementSeries(grid, conc, 1.0)

@@ -29,11 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .filters import NumericalError
 from .grid import TimeGrid
 from .linalg import PHI_PLUS, check_state_vector
 from .measures import concurrence_pure, eof_from_concurrence
 from .noise import NoiseModel, sample_block
-from .pulses import PulseProtocol, pulse_grid_indices
+from .pulses import PulseProtocol, toggling_steps
 from .series import EntanglementSeries
 
 WORKERS_ENV = "ENTDYN_WORKERS"
@@ -58,27 +59,29 @@ class DephasingRun:
         self.initial_state = check_state_vector(self.initial_state, dim=4)
 
 
-def _phase_block(eps: np.ndarray, grid: TimeGrid, protocol: PulseProtocol) -> np.ndarray:
+def _phase_block(eps: np.ndarray, grid: TimeGrid, steps: np.ndarray) -> np.ndarray:
     """phi(t_j) = int_0^{t_j} y eps dt' for each row of eps, trapezoidal in eps
     and exact in y.
 
-    The toggling sign is constant on each grid interval (pulses must sit on
-    grid points), so each interval contributes sign * dt * (eps_j + eps_j+1)/2.
-    Increments are accumulated per constant-sign segment and the segment
-    totals combined with their signs, so that a realization with constant eps
-    refocuses bit-exactly (identical partial sums cancel) at the echo time.
+    The toggling sign y_j = s_{j+1} - s_j (``steps`` from
+    `pulses.toggling_steps`) is constant on each grid interval, so each
+    interval contributes y_j dt (eps_j + eps_j+1)/2. Increments are
+    accumulated per constant-sign segment and the segment totals combined
+    with their signs, so that a realization with constant eps refocuses
+    bit-exactly (identical partial sums cancel) at the echo time.
     """
     n = grid.n_points
     half_dt = 0.5 * grid.dt
     incr = half_dt * (eps[:, :-1] + eps[:, 1:])
-    boundaries = [p for p in pulse_grid_indices(protocol, grid) if p < n - 1]
+    signs = np.diff(steps)
+    boundaries = (np.flatnonzero(np.diff(signs)) + 1).tolist()
     starts = [0, *boundaries]
     ends = [*boundaries, n - 1]
     phi = np.empty((eps.shape[0], n))
     phi[:, 0] = 0.0
     base = np.zeros(eps.shape[0])
-    for r, (a, b) in enumerate(zip(starts, ends)):
-        sign = -1.0 if r % 2 else 1.0
+    for a, b in zip(starts, ends):
+        sign = float(signs[a])
         local = np.cumsum(incr[:, a:b], axis=1)
         phi[:, a + 1 : b + 1] = base[:, None] + sign * local
         base = base + sign * local[:, -1]
@@ -113,13 +116,15 @@ def _map_batches(fn, n_traj: int, workers: int) -> list:
 
 def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarray:
     """Ensemble mean of exp(-i phi(t)) over all trajectories, shape (n_points,)."""
+    steps = toggling_steps(run.protocol, run.grid)
 
     def one_batch(bounds):
         k0, k1 = bounds
         eps = sample_block(run.noise, run.master_seed, np.arange(k0, k1), run.grid)
         eps -= run.omega_a
-        phi = _phase_block(eps, run.grid, run.protocol)
-        return np.exp(-1j * phi).sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # run() checks m(t)
+            phi = _phase_block(eps, run.grid, steps)
+            return np.exp(-1j * phi).sum(axis=0)
 
     partial = _map_batches(one_batch, run.n_traj, resolve_workers(workers))
     total = np.zeros(run.grid.n_points, dtype=complex)
@@ -129,7 +134,15 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
 
 
 def run(config: DephasingRun, workers: int | None = None) -> EntanglementSeries:
-    """Monte Carlo entanglement series: C = |m| C(v), E_av = EoF(C(v))."""
+    """Monte Carlo entanglement series: C = |m| C(v), E_av = EoF(C(v)).
+
+    Raises NumericalError when the mean dephasing factor is not finite.
+    """
     c_initial = concurrence_pure(config.initial_state)
-    conc = np.abs(coherence_series(config, workers)) * c_initial
+    m = coherence_series(config, workers)
+    if not np.all(np.isfinite(m)):
+        raise NumericalError(
+            f"Monte Carlo dephasing factor is not finite for sigma = {config.noise.sigma!r}"
+        )
+    conc = np.abs(m) * c_initial
     return EntanglementSeries(config.grid, conc, eof_from_concurrence(c_initial))

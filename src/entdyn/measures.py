@@ -40,9 +40,13 @@ def binary_entropy(x: float) -> float:
 
 
 def concurrence_pure(psi) -> float:
-    """Concurrence of a two-qubit pure state: 2 |a00 a11 - a01 a10|."""
+    """Concurrence of a two-qubit pure state: 2 |a00 a11 - a01 a10| / <psi|psi>.
+
+    Dividing by the norm (1 to 1e-12) cancels the rounding of the amplitudes,
+    so the Bell states give exactly 1.
+    """
     psi = check_state_vector(psi, dim=4)
-    c = 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
+    c = 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2]) / np.vdot(psi, psi).real
     return float(min(1.0, c))
 
 

@@ -3,9 +3,9 @@
 Pulses are instantaneous, noise-free pi rotations about x. A protocol is
 fully described by its pulse times; the toggling function y(t) = (-1)^(number
 of pulses in (0, t]) carries all the bookkeeping the dephasing integrals need.
-A pulse exactly at a grid point flips the sign for that sample onward
-(left-closed convention), which makes grid integrals of y match the continuum
-for grid-aligned pulses.
+On a time grid with every pulse on a grid point, y is constant on each grid
+interval, so its integral is dt times an integer step count (`toggling_steps`),
+the one description of a protocol that every engine uses.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TimeGrid
-from .linalg import SIGMA_X
 
 FREE = "free"
 ECHO = "echo"
@@ -66,58 +65,21 @@ def pulse_times(protocol: PulseProtocol, horizon: float) -> np.ndarray:
     return protocol.dt_pulse * np.arange(1, n + 1)
 
 
-def toggling(protocol: PulseProtocol, t: float) -> int:
-    """Sign (-1)^(number of pulses in (0, t]); +1 at t = 0."""
-    if t < 0.0:
-        raise ValueError(f"toggling time must be nonnegative, got {t!r}")
-    if protocol.kind == FREE:
-        return 1
-    if protocol.kind == ECHO:
-        return -1 if t >= protocol.tbar else 1
-    n = int(np.floor(t / protocol.dt_pulse + _ALIGN_TOL))
-    return -1 if n % 2 else 1
+def toggling_steps(protocol: PulseProtocol, grid: TimeGrid) -> np.ndarray:
+    """Signed step counts s_j with int_0^{t_j} y dt' = dt s_j, shape (n_points,).
 
-
-def pulse_unitary() -> np.ndarray:
-    """Evolution operator of one hard pi pulse: exp(-i sx pi/2) = -i sx."""
-    return -1j * SIGMA_X
-
-
-def toggling_integral(protocol: PulseProtocol, t: float) -> float:
-    """Exact integral of y(t') over [0, t] (piecewise linear between pulses)."""
-    if t < 0.0:
-        raise ValueError(f"integration time must be nonnegative, got {t!r}")
-    if t == 0.0:
-        return 0.0
-    bounds = np.concatenate([[0.0], pulse_times(protocol, t), [t]])
-    signs = (-1.0) ** np.arange(len(bounds) - 1)
-    return float(np.sum(signs * np.diff(bounds)))
-
-
-def pulse_grid_indices(protocol: PulseProtocol, grid: TimeGrid) -> np.ndarray:
-    """Grid indices of the pulses within the grid horizon.
-
-    Every pulse must sit on a grid point; the error names the offending time.
+    s_0 = 0 and s_{j+1} = s_j + y_j, where y_j = (-1)^(pulses in (0, t_j]) is
+    the sign on the grid interval [t_j, t_{j+1}): a pulse at t_j flips the
+    interval that starts there (left-closed convention). Every pulse within
+    the grid horizon must sit on a grid point; the error names the
+    offending time.
     """
-    indices = []
+    flips = np.zeros(grid.n_points, dtype=np.int64)
     for tp in pulse_times(protocol, grid.t_max + 0.5 * grid.dt):
-        ratio = tp / grid.dt
-        idx = int(round(ratio))
-        if abs(ratio - idx) > _ALIGN_TOL or not 0 < idx < grid.n_points:
+        try:
+            flips[grid.index_of(tp)] = 1
+        except ValueError:
             raise ValueError(
-                f"pulse at t = {tp!r} is not on the time grid (dt = {grid.dt!r})"
-            )
-        indices.append(idx)
-    return np.asarray(indices, dtype=int)
-
-
-def interval_signs(protocol: PulseProtocol, grid: TimeGrid) -> np.ndarray:
-    """Toggling sign on each grid interval [t_j, t_{j+1}), shape (n_points - 1,).
-
-    A pulse at t_j flips the interval that starts at t_j, per the left-closed
-    convention.
-    """
-    flips = np.zeros(grid.n_points, dtype=int)
-    idx = pulse_grid_indices(protocol, grid)
-    flips[idx] = 1
-    return np.where(np.cumsum(flips)[:-1] % 2, -1.0, 1.0)
+                f"pulse at t = {float(tp)!r} is not on the time grid (dt = {grid.dt!r})"
+            ) from None
+    return np.concatenate(([0], np.cumsum(1 - 2 * (np.cumsum(flips[:-1]) % 2))))

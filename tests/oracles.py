@@ -4,9 +4,10 @@ Everything here is deliberately implemented through a different route than
 the library code it checks: the Wootters spectrum via a general complex
 eigensolver instead of the Hermitian square-root form, dephasing exponents
 via time-domain double integrals of the autocorrelation instead of spectral
-quadrature, the toggling transform summed directly in test code, and the
-Monte Carlo measures via a stepwise propagator on each trajectory's state
-instead of the closed forms |m| C(v) and EoF(C(v)).
+quadrature, the toggling transform summed directly in test code, pulse grid
+indices rounded from the pulse times instead of the toggling step counts,
+and the Monte Carlo measures via a stepwise propagator on each trajectory's
+state instead of the closed forms |m| C(v) and EoF(C(v)).
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from entdyn import pulses
+from entdyn.linalg import SIGMA_X
 from entdyn.measures import concurrence_mixed
 from entdyn.noise import sample_block
-from entdyn.pulses import pulse_grid_indices, pulse_unitary
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY)
@@ -69,6 +71,11 @@ def random_density(rng: np.random.Generator, dim: int = 4, rank: int = 4) -> np.
         psi = random_state(rng, dim)
         rho += weights[k] * np.outer(psi, psi.conj())
     return rho
+
+
+def pulse_unitary() -> np.ndarray:
+    """Evolution operator of one hard pi pulse: exp(-i sx pi/2) = -i sx."""
+    return -1j * SIGMA_X
 
 
 def toggling_segments(pulse_times, t: float):
@@ -202,7 +209,7 @@ def propagator_series(config) -> SimpleNamespace:
     eps = sample_block(config.noise, config.master_seed, np.arange(config.n_traj), grid)
     eps -= config.omega_a
     pulse_at = np.zeros(n, dtype=bool)
-    pulse_at[pulse_grid_indices(config.protocol, grid)] = True
+    pulse_at[np.rint(pulses.pulse_times(config.protocol, grid.t_max) / grid.dt).astype(int)] = True
     pulse = np.kron(pulse_unitary(), np.eye(2))
     psi = np.tile(np.asarray(config.initial_state, dtype=complex), (config.n_traj, 1))
     conc = np.empty(n)

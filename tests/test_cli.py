@@ -206,6 +206,23 @@ def test_nonfinite_exponent_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "args",
+    [
+        "--mode analytic --noise static --sigma 1e300 --tmax 8 --points 11",
+        "--mode mc --noise static --sigma 1e308 --tmax 8 --points 11 --ntraj 10",
+    ],
+)
+def test_static_overflow_exits_3(tmp_path, capsys, args):
+    # sigma * t overflows the exponent (analytic) or the phases (MC): no
+    # traceback, no RuntimeWarning and no NaN written with exit 0.
+    out = tmp_path / "x.csv"
+    assert main([*args.split(), "-o", str(out)]) == cli.EXIT_NUMERICAL
+    assert "numerical failure" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2():
     result = run_entdyn(["--frobnicate"])
     assert result.returncode == 2

@@ -19,11 +19,12 @@ from entdyn.filters import (
 )
 from entdyn.grid import TimeGrid
 from entdyn.noise import NoiseModel, power_spectrum
-from entdyn.pulses import PulseProtocol, pulse_times, toggling_integral
+from entdyn.pulses import PulseProtocol, pulse_times, toggling_steps
 from oracles import (
     chi_echo_ou_refocus,
     chi_free_ou,
     ou_phase_variance,
+    toggling_segments,
     toggling_transform_sq,
 )
 
@@ -108,19 +109,44 @@ def test_filter_numeric_matches_independent_transform():
             assert filter_numeric(protocol, w, t) == pytest.approx(expected, abs=1e-10)
 
 
+def _oracle_y(protocol, times):
+    """int_0^t y dt' at each time, summed over the oracle's constant-sign segments."""
+    pulses = pulse_times(protocol, float(times[-1]) + 1.0)
+    out = []
+    for t in times:
+        bounds, signs = toggling_segments(pulses, t)
+        out.append(np.sum(signs * np.diff(bounds)))
+    return np.array(out)
+
+
+def _static(sigma, protocol, grid):
+    return concurrence_static(sigma, toggling_steps(protocol, grid), grid.dt)
+
+
 def test_concurrence_static_free():
-    assert concurrence_static(1.0, FREE, 4.0) == pytest.approx(math.exp(-8.0), rel=1e-12)
+    assert _static(1.0, FREE, TimeGrid(4.0, 41))[-1] == pytest.approx(math.exp(-8.0), rel=1e-12)
 
 
 def test_concurrence_static_echo():
-    assert concurrence_static(1.0, ECHO4, 8.0) == 1.0
-    assert concurrence_static(1.0, ECHO4, 6.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    grid = TimeGrid(8.0, 81)
+    conc = _static(1.0, ECHO4, grid)
+    assert conc[-1] == 1.0
+    assert conc[grid.index_of(6.0)] == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_concurrence_static_pdd_dc_limit():
-    pdd = PulseProtocol.pdd(1.0)
-    y = toggling_integral(pdd, 3.5)
-    assert concurrence_static(2.0, pdd, 3.5) == pytest.approx(math.exp(-0.5 * (2.0 * y) ** 2), rel=1e-12)
+    pdd, grid = PulseProtocol.pdd(1.0), TimeGrid(3.5, 15)
+    y = _oracle_y(pdd, grid.times)
+    np.testing.assert_allclose(_static(2.0, pdd, grid), np.exp(-0.5 * (2.0 * y) ** 2), rtol=1e-12, atol=0.0)
+
+
+def test_analytic_static_pdd_refocuses_exactly():
+    # s = 0 after every even number of PDD intervals.
+    grid = TimeGrid(8.0, 801)
+    for dt_pulse in (0.25, 1.0):
+        series = analytic_series(NoiseModel.static(1.0), PulseProtocol.pdd(dt_pulse), grid)
+        for k in range(2, int(round(8.0 / dt_pulse)) + 1, 2):
+            assert series.e_f[grid.index_of(k * dt_pulse)] == 1.0
 
 
 def test_spectral_free_matches_closed_form():
@@ -279,17 +305,18 @@ def test_ou_recursion_matches_segment_pair_oracle():
     grid = TimeGrid(8.0, 161)
     for tau in (20.0, 100.0, 500.0):
         for protocol in (FREE, ECHO4, PulseProtocol.pdd(0.25), PulseProtocol.pdd(1.0)):
-            chi = ou_exponents(NoiseModel.ou(1.0, tau), protocol, grid.times)
+            chi = ou_exponents(NoiseModel.ou(1.0, tau), toggling_steps(protocol, grid), grid)
             np.testing.assert_allclose(chi, _oracle_chi(tau, protocol, grid.times), rtol=0.0, atol=1e-12)
 
 
 def test_analytic_series_ou_off_grid_pulses():
-    # Library callers need not put pulses on the grid (dt = 0.1 here).
+    # A pulse off the grid (dt = 0.1 here) is rejected with its time named,
+    # as on the command line, for both noise kinds.
     grid = TimeGrid(8.0, 81)
-    for protocol in (PulseProtocol.echo(4.003), PulseProtocol.pdd(0.37)):
-        series = analytic_series(NoiseModel.ou(1.0, 20.0), protocol, grid)
-        chi = -np.log(series.concurrence)
-        np.testing.assert_allclose(chi, _oracle_chi(20.0, protocol, grid.times), rtol=0.0, atol=1e-12)
+    for noise in (NoiseModel.ou(1.0, 20.0), NoiseModel.static(1.0)):
+        for protocol, first in ((PulseProtocol.echo(4.003), "4.003"), (PulseProtocol.pdd(0.37), "0.37")):
+            with pytest.raises(ValueError, match=f"pulse at t = {first} is not on the time grid"):
+                analytic_series(noise, protocol, grid)
 
 
 def test_ou_recursion_quasistatic_limit():
@@ -297,16 +324,17 @@ def test_ou_recursion_quasistatic_limit():
     # x - (1 - e^{-x}) without cancellation (the direct form is off by ~1e-7).
     tau, grid = 1e9, TimeGrid(8.0, 801)
     for protocol in (FREE, ECHO4, PulseProtocol.pdd(0.25), PulseProtocol.pdd(1.0)):
-        chi = ou_exponents(NoiseModel.ou(1.0, tau), protocol, grid.times)
-        y = np.array([toggling_integral(protocol, t) for t in grid.times])
+        chi = ou_exponents(NoiseModel.ou(1.0, tau), toggling_steps(protocol, grid), grid)
+        y = _oracle_y(protocol, grid.times)
         assert np.all(np.abs(chi - 0.5 * y**2) <= grid.times**3 / tau)
 
 
 def test_ou_recursion_nonfinite_raises():
     with pytest.raises(NumericalError):
         analytic_series(NoiseModel.ou(1e300, 20.0), FREE, TimeGrid(8.0, 11))
+    grid = TimeGrid(1e10, 3)
     with pytest.raises(NumericalError):
-        ou_exponents(NoiseModel.ou(1e150, 1e10), FREE, TimeGrid(1e10, 3).times)
+        ou_exponents(NoiseModel.ou(1e150, 1e10), toggling_steps(FREE, grid), grid)
 
 
 def test_spectral_panel_cap_raises():

@@ -9,7 +9,7 @@ from entdyn.linalg import PHI_MINUS, PHI_PLUS, check_density_matrix
 from entdyn.mc import DephasingRun, _phase_block, coherence_series, run
 from entdyn.measures import concurrence_mixed, concurrence_pure
 from entdyn.noise import NoiseModel
-from entdyn.pulses import PulseProtocol
+from entdyn.pulses import PulseProtocol, toggling_steps
 from oracles import (
     chi_free_ou,
     density_from_coherence,
@@ -28,7 +28,7 @@ FREE = PulseProtocol.free()
 
 def constant_phase(value: float, protocol: PulseProtocol, grid: TimeGrid = GRID) -> np.ndarray:
     """Accumulated phase of one realization with constant eps, shape (n_points,)."""
-    return _phase_block(np.full((1, grid.n_points), value), grid, protocol)[0]
+    return _phase_block(np.full((1, grid.n_points), value), grid, toggling_steps(protocol, grid))[0]
 
 
 def test_accumulate_phase_constant_free():
@@ -45,7 +45,7 @@ def test_accumulate_phase_echo_cancels_exactly():
 def test_accumulate_phase_pdd_parity_cancellation():
     phi = constant_phase(2.1, PulseProtocol.pdd(1.0))
     for k in (2, 4, 6, 8):
-        assert phi[GRID.index_of(float(k))] == pytest.approx(0.0, abs=1e-12)
+        assert phi[GRID.index_of(float(k))] == 0.0  # segment totals cancel bit-exactly
 
 
 def test_accumulate_phase_rejects_off_grid_pulse():
@@ -92,6 +92,14 @@ def test_static_echo_recovers_exactly():
     # every realization refocuses exactly at 2 tbar, at any trajectory count
     assert series.concurrence[-1] == pytest.approx(1.0, abs=1e-12)
     assert series.e_f[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bell_state_measures_are_exact():
+    # C(PHI_PLUS) is exactly 1, so e_av is exactly 1 and static echo
+    # refocuses to exactly C = e_f = 1 at t = 2 tbar.
+    series = run(DephasingRun(STATIC, ECHO4, GRID, 5_000, 11))
+    assert np.all(series.e_av == 1.0)
+    assert series.concurrence[-1] == 1.0 and series.e_f[-1] == 1.0
 
 
 def test_mc_density_is_valid_everywhere():

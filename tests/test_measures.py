@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entdyn.linalg import PHI_MINUS, PHI_PLUS, PSI_PLUS, projector, tensor_product
+from entdyn.linalg import PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, projector, tensor_product
 from entdyn.measures import (
     WeightedEnsemble,
     average_entanglement,
@@ -30,7 +30,9 @@ def jc_branch_state(eta: float) -> np.ndarray:
 
 
 def test_concurrence_pure_bell():
-    assert concurrence_pure(PHI_PLUS) == pytest.approx(1.0, abs=1e-12)
+    # exactly 1, although 1/sqrt(2) rounds down
+    for bell in (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS):
+        assert concurrence_pure(bell) == 1.0
 
 
 def test_concurrence_pure_product():

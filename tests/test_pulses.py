@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from entdyn.grid import TimeGrid
 from entdyn.linalg import SIGMA_X, SIGMA_Z
-from entdyn.pulses import (
-    PulseProtocol,
-    interval_signs,
-    pulse_grid_indices,
-    pulse_times,
-    pulse_unitary,
-    toggling,
-    toggling_integral,
-)
+from entdyn.pulses import PulseProtocol, pulse_times, toggling_steps
+from oracles import pulse_unitary, toggling_segments
 
 
 def test_protocol_validation():
@@ -41,32 +34,53 @@ def test_pulse_times_pdd():
     assert pulse_times(PulseProtocol.pdd(0.1), 0.7000000000000001).size == 6
 
 
+def interval_signs(protocol: PulseProtocol, grid: TimeGrid) -> np.ndarray:
+    """Toggling sign on each grid interval [t_j, t_{j+1}), from the step counts."""
+    return np.diff(toggling_steps(protocol, grid))
+
+
 def test_toggling_free():
-    assert toggling(PulseProtocol.free(), 123.0) == 1
+    grid = TimeGrid(12.0, 49)
+    assert_array_equal(toggling_steps(PulseProtocol.free(), grid), np.arange(49))
 
 
 def test_toggling_echo():
-    echo = PulseProtocol.echo(2.0)
-    assert toggling(echo, 1.0) == 1
-    assert toggling(echo, 2.0) == -1  # pulse at t counts (left-closed)
-    assert toggling(echo, 3.0) == -1
+    grid = TimeGrid(4.0, 9)  # dt = 0.5, pulse at index 4
+    signs = interval_signs(PulseProtocol.echo(2.0), grid)
+    assert signs[3] == 1
+    assert signs[4] == -1  # a pulse at t_j flips the interval starting there (left-closed)
+    assert signs[5] == -1
 
 
 def test_toggling_pdd_parity():
-    pdd = PulseProtocol.pdd(1.0)
-    assert toggling(pdd, 2.5) == 1
-    assert toggling(pdd, 1.5) == -1
-    assert toggling(pdd, 3.0) == -1
+    grid = TimeGrid(4.0, 9)  # dt = 0.5, pulses at 1, 2, 3
+    assert_array_equal(interval_signs(PulseProtocol.pdd(1.0), grid), [1, 1, -1, -1, 1, 1, -1, -1])
 
 
 def test_toggling_matches_pulse_count():
-    rng = np.random.default_rng(51)
-    protocols = [PulseProtocol.free(), PulseProtocol.echo(1.7), PulseProtocol.pdd(0.6)]
+    # the sign on [t_j, t_{j+1}) is (-1)^(pulses in (0, t_j])
+    grid = TimeGrid(12.0, 241)  # dt = 0.05
+    protocols = [PulseProtocol.free(), PulseProtocol.echo(1.7), PulseProtocol.pdd(0.6), PulseProtocol.pdd(0.05)]
     for protocol in protocols:
-        for _ in range(200):
-            t = rng.uniform(0.01, 12.0)
-            count = np.sum(pulse_times(protocol, 100.0) <= t)
-            assert toggling(protocol, t) == (-1) ** count
+        pulses = pulse_times(protocol, 100.0)
+        counts = np.array([np.sum(pulses <= t + 1e-9) for t in grid.times[:-1]])
+        assert_array_equal(interval_signs(protocol, grid), (-1) ** counts)
+
+
+def test_toggling_steps_match_segment_oracle():
+    # dt s_j is the integral of y over the oracle's constant-sign segments.
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        n = int(rng.integers(2, 50))
+        grid = TimeGrid(float(rng.uniform(0.5, 20.0)), 8 * n + 1)
+        echo = PulseProtocol.echo(grid.times[rng.integers(1, grid.n_points)])
+        pdd = PulseProtocol.pdd(grid.dt * int(rng.integers(1, 3 * n)))
+        for protocol in (echo, pdd):
+            y_int = grid.dt * toggling_steps(protocol, grid)
+            pulses = pulse_times(protocol, 2.0 * grid.t_max)
+            for j in range(1, grid.n_points):
+                bounds, signs = toggling_segments(pulses, grid.times[j])
+                assert abs(y_int[j] - np.sum(signs * np.diff(bounds))) <= 1e-12
 
 
 def test_pulse_unitary_identities():
@@ -78,31 +92,36 @@ def test_pulse_unitary_identities():
 
 
 def test_echo_integral_cancels_at_refocus():
-    assert toggling_integral(PulseProtocol.echo(3.0), 6.0) == 0.0
+    steps = toggling_steps(PulseProtocol.echo(3.0), TimeGrid(6.0, 601))
+    assert steps[-1] == 0
+    assert steps[300] == 300
 
 
 def test_pdd_integral_cancels_on_even_intervals():
-    pdd = PulseProtocol.pdd(0.5)
+    grid = TimeGrid(5.0, 501)
+    steps = toggling_steps(PulseProtocol.pdd(0.5), grid)
     for k in (1, 2, 5):
-        assert toggling_integral(pdd, 2 * k * 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert steps[grid.index_of(2 * k * 0.5)] == 0
 
 
 def test_toggling_integral_free():
-    assert toggling_integral(PulseProtocol.free(), 7.25) == 7.25
+    grid = TimeGrid(7.25, 30)
+    assert_array_equal(grid.dt * toggling_steps(PulseProtocol.free(), grid), grid.times)
 
 
 def test_interval_signs_echo():
     grid = TimeGrid(2.0, 5)  # dt = 0.5
-    signs = interval_signs(PulseProtocol.echo(1.0), grid)
-    assert_allclose(signs, [1.0, 1.0, -1.0, -1.0])
+    assert_array_equal(interval_signs(PulseProtocol.echo(1.0), grid), [1, 1, -1, -1])
 
 
 def test_pulse_off_grid_raises_with_time_named():
     grid = TimeGrid(8.0, 801)
     with pytest.raises(ValueError, match="4.005"):
-        pulse_grid_indices(PulseProtocol.echo(4.005), grid)
+        toggling_steps(PulseProtocol.echo(4.005), grid)
 
 
 def test_pulse_grid_indices_echo():
+    # the sign flips at the pulse's grid index and nowhere else
     grid = TimeGrid(8.0, 801)
-    assert list(pulse_grid_indices(PulseProtocol.echo(4.0), grid)) == [400]
+    signs = interval_signs(PulseProtocol.echo(4.0), grid)
+    assert list(np.flatnonzero(np.diff(signs)) + 1) == [400]
