@@ -4,9 +4,19 @@ Qubit A evolves under H_A(t) = [-Omega_A sz + eps(t) sz + V(t) sx]/2 with
 classical noise eps(t) and instantaneous pi pulses; qubit B idles. Moving
 every pulse to the left of the product of interval propagators turns each
 realization into a pure sz phase with the toggled sign, U(t) = P^m
-exp(-i sz phi(t)/2), phi(t) = int_0^t y eps', so the engine evolves one
-scalar phase per trajectory and reduces the ensemble to the mean dephasing
-factor m(t) = <exp(-i phi(t))>.
+exp(-i sz phi(t)/2), phi(t) = int_0^t y eps', so the ensemble reduces to the
+mean dephasing factor m(t) = <exp(-i phi(t))>. Each noise kind has the
+kernel its structure allows:
+
+- static noise: a realization's phase is rank 1, phi_k(t_j) = x_k s_j with
+  x_k = (eps_k - Omega_A) dt and s_j the toggling step counts. With
+  |s_j| = q w + r, exp(i x |s|) = exp(i x r) exp(i x q w), so each batch's
+  sum over trajectories is one product of two small exp tables, from which
+  every m(t_j) is gathered (conjugated where s_j >= 0). No per-point phase
+  is formed.
+- OU noise: the paths come time-major, (n_points, batch) with contiguous
+  rows; one pass along the time axis accumulates the phases, and real cos
+  and sin sums over each row give m.
 
 The averaged state is the initial pure state v with its coherences across
 the sz_A blocks scaled by m(t): a one-sided channel, so its concurrence
@@ -23,6 +33,7 @@ output is bit-identical for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -33,12 +44,13 @@ from .filters import NumericalError
 from .grid import TimeGrid
 from .linalg import PHI_PLUS, check_state_vector
 from .measures import concurrence_pure, eof_from_concurrence
-from .noise import NoiseModel, sample_block
+from .noise import STATIC, NoiseModel, sample_block
 from .pulses import PulseProtocol, toggling_steps
 from .series import EntanglementSeries
 
 WORKERS_ENV = "ENTDYN_WORKERS"
 _BATCH = 8192
+_ROWS = 64  # time rows per cos/sin chunk of the OU reduction
 
 
 @dataclass
@@ -60,32 +72,62 @@ class DephasingRun:
 
 
 def _phase_block(eps: np.ndarray, grid: TimeGrid, steps: np.ndarray) -> np.ndarray:
-    """phi(t_j) = int_0^{t_j} y eps dt' for each row of eps, trapezoidal in eps
-    and exact in y.
+    """phi(t_j) = int_0^{t_j} y eps dt' for each column of the time-major
+    eps (n_points, n_traj), trapezoidal in eps and exact in y.
 
     The toggling sign y_j = s_{j+1} - s_j (``steps`` from
     `pulses.toggling_steps`) is constant on each grid interval, so each
-    interval contributes y_j dt (eps_j + eps_j+1)/2. Increments are
-    accumulated per constant-sign segment and the segment totals combined
-    with their signs, so that a realization with constant eps refocuses
+    interval contributes y_j dt (eps_j + eps_j+1)/2. One pass over the
+    contiguous time rows accumulates the increments per constant-sign
+    segment and adds each segment's running sum, with its sign, to the total
+    at the segment start, so that a realization with constant eps refocuses
     bit-exactly (identical partial sums cancel) at the echo time.
     """
-    n = grid.n_points
     half_dt = 0.5 * grid.dt
-    incr = half_dt * (eps[:, :-1] + eps[:, 1:])
-    signs = np.diff(steps)
-    boundaries = (np.flatnonzero(np.diff(signs)) + 1).tolist()
-    starts = [0, *boundaries]
-    ends = [*boundaries, n - 1]
-    phi = np.empty((eps.shape[0], n))
-    phi[:, 0] = 0.0
-    base = np.zeros(eps.shape[0])
-    for a, b in zip(starts, ends):
-        sign = float(signs[a])
-        local = np.cumsum(incr[:, a:b], axis=1)
-        phi[:, a + 1 : b + 1] = base[:, None] + sign * local
-        base = base + sign * local[:, -1]
+    signs = np.diff(steps).tolist()
+    phi = np.empty((grid.n_points, eps.shape[1]))
+    phi[0] = 0.0
+    incr = np.empty(eps.shape[1])
+    local = np.empty(eps.shape[1])
+    for j, sign in enumerate(signs):
+        np.add(eps[j], eps[j + 1], out=incr)
+        incr *= half_dt
+        if j == 0 or sign != signs[j - 1]:  # a new segment starts at t_j
+            base = phi[j]
+            local[:] = incr
+        else:
+            local += incr
+        (np.add if sign > 0 else np.subtract)(base, local, out=phi[j + 1])
     return phi
+
+
+def _coherence_sums(phi: np.ndarray) -> np.ndarray:
+    """sum_k exp(-i phi[j, k]) for each time row j, from real cos and sin
+    sums taken a few rows at a time."""
+    sums = np.empty(phi.shape[0], dtype=complex)
+    for j in range(0, phi.shape[0], _ROWS):
+        rows = phi[j : j + _ROWS]
+        sums.real[j : j + _ROWS] = np.cos(rows).sum(axis=1)
+        sums.imag[j : j + _ROWS] = -np.sin(rows).sum(axis=1)
+    return sums
+
+
+def _static_table(x: np.ndarray, width: int, height: int) -> np.ndarray:
+    """T[r, q] = sum_k exp(i x_k (q width + r)), shape (width, height).
+
+    A static realization's phase is rank 1, phi_k(t_j) = x_k s_j, so the
+    ensemble sum at any step count a = q width + r is one product of two
+    small tables of exp(i x_k r) and exp(i x_k q width).
+    """
+
+    def exp_table(counts):
+        arg = np.multiply.outer(x, counts)
+        table = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=table.real)
+        np.sin(arg, out=table.imag)
+        return table
+
+    return exp_table(np.arange(width)).T @ exp_table(width * np.arange(height))
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -117,19 +159,29 @@ def _map_batches(fn, n_traj: int, workers: int) -> list:
 def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarray:
     """Ensemble mean of exp(-i phi(t)) over all trajectories, shape (n_points,)."""
     steps = toggling_steps(run.protocol, run.grid)
+    static = run.noise.kind == STATIC
+    # Static tables: m(t_j) from T[a_j % width, a_j // width], a_j = |s_j|.
+    counts = np.abs(steps)
+    width = math.isqrt(int(counts.max())) + 1
+    height = int(counts.max()) // width + 1
 
     def one_batch(bounds):
         k0, k1 = bounds
         eps = sample_block(run.noise, run.master_seed, np.arange(k0, k1), run.grid)
-        eps -= run.omega_a
         with np.errstate(over="ignore", invalid="ignore"):  # run() checks m(t)
-            phi = _phase_block(eps, run.grid, steps)
-            return np.exp(-1j * phi).sum(axis=0)
+            if static:
+                return _static_table(run.grid.dt * (eps[:, 0] - run.omega_a), width, height)
+            eps = eps.T
+            eps -= run.omega_a
+            return _coherence_sums(_phase_block(eps, run.grid, steps))
 
     partial = _map_batches(one_batch, run.n_traj, resolve_workers(workers))
-    total = np.zeros(run.grid.n_points, dtype=complex)
+    total = np.zeros_like(partial[0])
     for p in partial:  # fixed batch order keeps the reduction deterministic
         total += p
+    if static:  # exp(-i x s) is exp(i x |s|) where s < 0, its conjugate elsewhere
+        total = total[counts % width, counts // width]
+        total = np.where(steps < 0, total, total.conj())
     return total / run.n_traj
 
 

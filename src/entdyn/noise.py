@@ -26,6 +26,7 @@ _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX_1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_2 = _U64(0x94D049BB133111EB)
 _TWO_NEG53 = 2.0 ** -53
+_HASH_ROWS = 16  # counters hashed per chunk: ~1 MB of uint64 per 8192 streams
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,17 @@ def power_spectrum(model: NoiseModel, omega):
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer: a bijective 64-bit hash, vectorized over uint64.
+    """splitmix64 finalizer, in place: a bijective 64-bit hash over uint64.
 
     Multiplications wrap mod 2^64 by design; inputs are arrays (0-d included)
     so numpy performs the wrap silently.
     """
-    z = (z ^ (z >> _U64(30))) * _MIX_1
-    z = (z ^ (z >> _U64(27))) * _MIX_2
-    return z ^ (z >> _U64(31))
+    shifted = np.empty_like(z)
+    for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
+        z ^= np.right_shift(z, _U64(shift), out=shifted)
+        z *= mix
+    z ^= np.right_shift(z, _U64(31), out=shifted)
+    return z
 
 
 def trajectory_seed(master_seed: int, index) -> np.ndarray:
@@ -94,24 +98,39 @@ def trajectory_seed(master_seed: int, index) -> np.ndarray:
     return keys.reshape(index.shape)
 
 
-def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Open-below uniforms in (0, 1], one per (key, counter) pair."""
-    bits = _mix64(keys + (counters + _U64(1)) * _GOLDEN)
-    return ((bits >> _U64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
+def _uniforms(keys: np.ndarray, count: int) -> np.ndarray:
+    """Open-below uniforms in (0, 1], shape (count, len(keys)): row c holds
+    counter c of every stream. Hashed a few rows at a time, so the uint64
+    temporaries stay small and in cache."""
+    u = np.empty((count, keys.size))
+    for c in range(0, count, _HASH_ROWS):
+        stop = min(c + _HASH_ROWS, count)
+        bits = _mix64(np.arange(c + 1, stop + 1, dtype=np.uint64)[:, None] * _GOLDEN + keys)
+        bits >>= _U64(11)
+        np.add(bits, 1.0, out=u[c:stop])
+        u[c:stop] *= _TWO_NEG53
+    return u
 
 
 def gaussian_block(keys, count: int) -> np.ndarray:
-    """Standard normals, shape (len(keys), count), by Box-Muller per stream."""
+    """Standard normals, shape (len(keys), count), by Box-Muller per stream.
+
+    The result is the transpose of a C-ordered (count, len(keys)) array, so
+    its ``.T`` is time-major: each row holds one counter of every stream,
+    contiguously.
+    """
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    pairs = (count + 1) // 2
-    counters = np.arange(2 * pairs, dtype=np.uint64)
-    u = _uniforms(keys[:, None], counters[None, :])
-    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    theta = (2.0 * np.pi) * u[:, 1::2]
-    z = np.empty((keys.shape[0], 2 * pairs), dtype=np.float64)
-    z[:, 0::2] = r * np.cos(theta)
-    z[:, 1::2] = r * np.sin(theta)
-    return z[:, :count]
+    z = _uniforms(keys, 2 * ((count + 1) // 2))
+    r, theta = z[0::2], z[1::2]  # in place: z -> (r cos theta, r sin theta)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    theta *= r
+    r *= cos
+    return z[:count].T
 
 
 def _static_block(model: NoiseModel, keys) -> np.ndarray:
@@ -120,20 +139,22 @@ def _static_block(model: NoiseModel, keys) -> np.ndarray:
 
 
 def _ou_block(model: NoiseModel, keys, grid: TimeGrid) -> np.ndarray:
-    """Stationary OU paths, shape (len(keys), n_points), exact discretization.
+    """Stationary OU paths, time-major: shape (n_points, len(keys)), exact
+    discretization.
 
     eps_0 ~ N(0, sigma^2); eps_{j+1} = alpha eps_j + sigma sqrt(1 - alpha^2) z,
     alpha = exp(-dt/tau). Exact in distribution at the grid points, so there
-    is no time-step bias.
+    is no time-step bias. The recursion runs in place over contiguous rows.
     """
-    n = grid.n_points
-    z = gaussian_block(keys, n)
+    eps = gaussian_block(keys, grid.n_points).T
     alpha = math.exp(-grid.dt / model.tau)
     q = model.sigma * math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    eps = np.empty_like(z)
-    eps[:, 0] = model.sigma * z[:, 0]
-    for j in range(1, n):
-        eps[:, j] = alpha * eps[:, j - 1] + q * z[:, j]
+    eps[0] *= model.sigma
+    carried = np.empty_like(eps[0])
+    for j in range(1, grid.n_points):
+        eps[j] *= q
+        np.multiply(eps[j - 1], alpha, out=carried)
+        eps[j] += carried
     return eps
 
 
@@ -141,9 +162,11 @@ def sample_block(model: NoiseModel, master_seed: int, indices, grid: TimeGrid) -
     """Paths for the given trajectory indices, shape (len(indices), n_points).
 
     Row k depends only on ``(model, master_seed, indices[k], grid)``, so any
-    subset or order of indices reproduces the same rows bit for bit.
+    subset or order of indices reproduces the same rows bit for bit. Static
+    paths are a read-only broadcast view of one offset per row; OU paths are
+    the transpose of a time-major array, so ``.T`` has contiguous rows.
     """
     keys = trajectory_seed(master_seed, indices)
     if model.kind == STATIC:
-        return np.repeat(_static_block(model, keys)[:, None], grid.n_points, axis=1)
-    return _ou_block(model, keys, grid)
+        return np.broadcast_to(_static_block(model, keys)[:, None], (keys.size, grid.n_points))
+    return _ou_block(model, keys, grid).T

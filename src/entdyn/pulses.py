@@ -72,8 +72,13 @@ def toggling_steps(protocol: PulseProtocol, grid: TimeGrid) -> np.ndarray:
     the sign on the grid interval [t_j, t_{j+1}): a pulse at t_j flips the
     interval that starts there (left-closed convention). Every pulse within
     the grid horizon must sit on a grid point; the error names the
-    offending time.
+    offending time. A PDD spacing below the grid step is rejected before any
+    pulse time is built, so no spacing can ask for more pulses than points.
     """
+    if protocol.kind == PDD and protocol.dt_pulse / grid.dt < 1.0 - _ALIGN_TOL:
+        raise ValueError(
+            f"pdd dt_pulse = {protocol.dt_pulse!r} is below the grid step dt = {grid.dt!r}"
+        )
     flips = np.zeros(grid.n_points, dtype=np.int64)
     for tp in pulse_times(protocol, grid.t_max + 0.5 * grid.dt):
         try:

@@ -6,7 +6,9 @@ eigensolver instead of the Hermitian square-root form, dephasing exponents
 via time-domain double integrals of the autocorrelation instead of spectral
 quadrature, the toggling transform summed directly in test code, pulse grid
 indices rounded from the pulse times instead of the toggling step counts,
-and the Monte Carlo measures via a stepwise propagator on each trajectory's
+Gaussians, OU paths and the coherence m(t) along the trajectory-major
+layout and complex exp-and-sum the Monte Carlo kernels replace, and the
+Monte Carlo measures via a stepwise propagator on each trajectory's
 state instead of the closed forms |m| C(v) and EoF(C(v)).
 """
 
@@ -17,8 +19,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from entdyn import pulses
+from entdyn import noise, pulses
 from entdyn.linalg import SIGMA_X
+from entdyn.mc import _phase_block
 from entdyn.measures import concurrence_mixed
 from entdyn.noise import sample_block
 
@@ -206,8 +209,7 @@ def propagator_series(config) -> SimpleNamespace:
     """
     grid = config.grid
     n = grid.n_points
-    eps = sample_block(config.noise, config.master_seed, np.arange(config.n_traj), grid)
-    eps -= config.omega_a
+    eps = sample_block(config.noise, config.master_seed, np.arange(config.n_traj), grid) - config.omega_a
     pulse_at = np.zeros(n, dtype=bool)
     pulse_at[np.rint(pulses.pulse_times(config.protocol, grid.t_max) / grid.dt).astype(int)] = True
     pulse = np.kron(pulse_unitary(), np.eye(2))
@@ -224,3 +226,50 @@ def propagator_series(config) -> SimpleNamespace:
         e_av[j] = _schmidt_entropy(psi).mean()
     e_f = np.array([eof_of_concurrence(c) for c in conc])
     return SimpleNamespace(concurrence=conc, e_f=e_f, e_av=e_av)
+
+
+def gaussian_rows(keys, count: int) -> np.ndarray:
+    """Standard normals, shape (len(keys), count), by Box-Muller computed
+    stream by stream: the layout that `noise.gaussian_block` must reproduce
+    bit for bit."""
+    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+    pairs = (count + 1) // 2
+    counters = np.arange(2 * pairs, dtype=np.uint64)
+    bits = noise._mix64(keys[:, None] + (counters[None, :] + np.uint64(1)) * noise._GOLDEN)
+    u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    theta = (2.0 * np.pi) * u[:, 1::2]
+    z = np.empty((keys.shape[0], 2 * pairs))
+    z[:, 0::2] = r * np.cos(theta)
+    z[:, 1::2] = r * np.sin(theta)
+    return z[:, :count]
+
+
+def noise_rows(model, keys, grid) -> np.ndarray:
+    """Noise paths, shape (len(keys), n_points), one trajectory per row: the
+    static offset repeated, or the OU recursion run column by column."""
+    if model.kind == noise.STATIC:
+        return np.repeat(model.sigma * gaussian_rows(keys, 1), grid.n_points, axis=1)
+    z = gaussian_rows(keys, grid.n_points)
+    alpha = math.exp(-grid.dt / model.tau)
+    q = model.sigma * math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    eps = np.empty_like(z)
+    eps[:, 0] = model.sigma * z[:, 0]
+    for j in range(1, grid.n_points):
+        eps[:, j] = alpha * eps[:, j - 1] + q * z[:, j]
+    return eps
+
+
+def coherence_reference(config, batch: int = 8192) -> np.ndarray:
+    """m(t) = <exp(-i phi(t))> of a DephasingRun from trajectory-major noise
+    paths, the `mc._phase_block` phases of every trajectory and a complex
+    exp-and-sum per batch of ``batch`` trajectories."""
+    grid = config.grid
+    steps = pulses.toggling_steps(config.protocol, grid)
+    total = np.zeros(grid.n_points, dtype=complex)
+    for k0 in range(0, config.n_traj, batch):
+        keys = noise.trajectory_seed(config.master_seed, np.arange(k0, min(k0 + batch, config.n_traj)))
+        eps = noise_rows(config.noise, keys, grid) - config.omega_a
+        phi = _phase_block(np.ascontiguousarray(eps.T), grid, steps)
+        total += np.exp(-1j * phi).sum(axis=1)
+    return total / config.n_traj

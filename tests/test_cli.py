@@ -223,6 +223,28 @@ def test_static_overflow_exits_3(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_pdd_below_grid_step_exits_2():
+    args = "--mode analytic --noise static --sigma 1 --protocol pdd --dt-pulse 1e-12 --points 11"
+    result = run_entdyn(args.split())
+    assert result.returncode == cli.EXIT_CONFIG
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("entdyn: config error:") and "below the grid step" in result.stderr
+
+
+def test_static_mc_bytes_independent_of_workers_and_blas_threads(tmp_path):
+    # The static table is a matrix product per batch: its sums must not
+    # depend on the engine's worker count or on the BLAS thread count.
+    args = "--mode mc --noise static --sigma 1 --protocol echo --tbar 4 --ntraj 30000 --seed 5".split()
+    outputs = set()
+    for workers in ("1", "2", "4"):
+        for blas in ("1", "2"):
+            out = tmp_path / f"w{workers}b{blas}.csv"
+            result = run_entdyn([*args, "-o", str(out)], ENTDYN_WORKERS=workers, OPENBLAS_NUM_THREADS=blas)
+            assert result.returncode == 0, result.stderr
+            outputs.add(out.read_bytes())
+    assert len(outputs) == 1
+
+
 def test_unknown_flag_exits_2():
     result = run_entdyn(["--frobnicate"])
     assert result.returncode == 2

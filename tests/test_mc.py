@@ -12,6 +12,7 @@ from entdyn.noise import NoiseModel
 from entdyn.pulses import PulseProtocol, toggling_steps
 from oracles import (
     chi_free_ou,
+    coherence_reference,
     density_from_coherence,
     propagator_series,
     random_state,
@@ -28,7 +29,7 @@ FREE = PulseProtocol.free()
 
 def constant_phase(value: float, protocol: PulseProtocol, grid: TimeGrid = GRID) -> np.ndarray:
     """Accumulated phase of one realization with constant eps, shape (n_points,)."""
-    return _phase_block(np.full((1, grid.n_points), value), grid, toggling_steps(protocol, grid))[0]
+    return _phase_block(np.full((grid.n_points, 1), value), grid, toggling_steps(protocol, grid))[:, 0]
 
 
 def test_accumulate_phase_constant_free():
@@ -51,6 +52,57 @@ def test_accumulate_phase_pdd_parity_cancellation():
 def test_accumulate_phase_rejects_off_grid_pulse():
     with pytest.raises(ValueError, match="not on the time grid"):
         constant_phase(1.0, PulseProtocol.echo(4.0042))
+
+
+STATIC_KERNEL_CASES = {
+    "free": DephasingRun(STATIC, FREE, GRID, 3_000, 101),
+    "echo4": DephasingRun(STATIC, ECHO4, GRID, 3_000, 103),
+    "echo2": DephasingRun(STATIC, PulseProtocol.echo(2.0), TimeGrid(8.0, 401), 3_000, 107),
+    "pdd025": DephasingRun(STATIC, PulseProtocol.pdd(0.25), GRID, 3_000, 109),
+    "omega_a": DephasingRun(STATIC, PulseProtocol.echo(2.0), TimeGrid(8.0, 401), 3_000, 113, omega_a=0.7),
+    "partial_batch": DephasingRun(STATIC, ECHO4, TimeGrid(8.0, 161), 8192 + 5, 127),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATIC_KERNEL_CASES))
+def test_static_table_matches_phase_path(case):
+    cfg = STATIC_KERNEL_CASES[case]
+    m = coherence_series(cfg)
+    assert np.max(np.abs(m - coherence_reference(cfg))) <= 1e-13
+
+
+def test_static_table_conjugates_negative_steps():
+    # Echo at tbar = 2 on t_max = 8: s_j < 0 after t = 4, where the table
+    # entry for |s_j| is conjugated. omega_a != 0 gives the phases a nonzero
+    # mean, so Im m is far from 0 there and a missing conjugation shows.
+    cfg = STATIC_KERNEL_CASES["omega_a"]
+    steps = toggling_steps(cfg.protocol, cfg.grid)
+    assert steps.min() < 0
+    assert np.max(np.abs(coherence_series(cfg).imag[steps < 0])) > 1e-3
+
+
+@pytest.mark.parametrize("case", ["echo2", "echo4", "pdd025", "partial_batch"])
+def test_static_table_refocuses_exactly(case):
+    # s_j = 0 at t = 0 and at every refocus point: each term is exp(0) = 1.
+    cfg = STATIC_KERNEL_CASES[case]
+    steps = toggling_steps(cfg.protocol, cfg.grid)
+    refocus = np.flatnonzero(steps == 0)
+    assert refocus[0] == 0 and refocus.size >= 2
+    assert np.all(coherence_series(cfg)[refocus] == 1 + 0j)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        DephasingRun(OU20, ECHO4, TimeGrid(8.0, 201), 8192 + 5, 131),
+        DephasingRun(OU20, FREE, TimeGrid(8.0, 201), 3_000, 137, omega_a=0.7),
+        DephasingRun(NoiseModel.ou(1.0, 2.0), PulseProtocol.pdd(0.5), TimeGrid(4.0, 161), 3_000, 139),
+    ],
+    ids=["echo", "free_omega_a", "pdd"],
+)
+def test_ou_time_major_matches_reference(cfg):
+    m = coherence_series(cfg)
+    assert np.max(np.abs(m - coherence_reference(cfg))) <= 1e-13
 
 
 def test_trajectory_state_identity():

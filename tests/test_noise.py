@@ -7,10 +7,12 @@ from numpy.testing import assert_array_equal
 from entdyn.grid import TimeGrid
 from entdyn.noise import (
     NoiseModel,
+    gaussian_block,
     power_spectrum,
     sample_block,
     trajectory_seed,
 )
+from oracles import gaussian_rows, noise_rows
 
 GRID = TimeGrid(8.0, 201)
 
@@ -124,3 +126,26 @@ def test_trajectory_seed_is_order_free():
     all_keys = trajectory_seed(99, np.arange(1000))
     some = trajectory_seed(99, np.array([17, 503, 999]))
     assert_array_equal(some, all_keys[[17, 503, 999]])
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 801])
+def test_time_major_gaussians_match_stream_by_stream(count):
+    keys = trajectory_seed(2718, np.arange(3000))
+    block = gaussian_block(keys, count)
+    assert block.shape == (3000, count)
+    assert block.T.flags.c_contiguous
+    assert np.array_equal(block.T, gaussian_rows(keys, count).T)
+
+
+@pytest.mark.parametrize("model", [NoiseModel.static(1.3), NoiseModel.ou(0.8, 5.0)], ids=["static", "ou"])
+def test_sample_block_matches_stream_by_stream(model):
+    indices = np.arange(100, 2100)
+    block = sample_block(model, 1618, indices, GRID)
+    assert np.array_equal(block, noise_rows(model, trajectory_seed(1618, indices), GRID))
+    if model.kind == "ou":
+        assert block.T.flags.c_contiguous
+
+
+def test_static_block_is_a_view_of_one_offset_per_row():
+    block = sample_block(NoiseModel.static(1.0), 3, np.arange(5), GRID)
+    assert block.strides[1] == 0 and not block.flags.writeable

@@ -125,3 +125,15 @@ def test_pulse_grid_indices_echo():
     grid = TimeGrid(8.0, 801)
     signs = interval_signs(PulseProtocol.echo(4.0), grid)
     assert list(np.flatnonzero(np.diff(signs)) + 1) == [400]
+
+
+def test_pdd_below_grid_step_is_rejected_before_building_pulses():
+    # dt_pulse = 1e-12 on dt = 0.8 would ask for ~8e12 pulse times.
+    with pytest.raises(ValueError, match="below the grid step"):
+        toggling_steps(PulseProtocol.pdd(1e-12), TimeGrid(8.0, 11))
+
+
+def test_pdd_at_grid_step_is_accepted():
+    grid = TimeGrid(8.0, 801)
+    steps = toggling_steps(PulseProtocol.pdd(0.01), grid)
+    assert_array_equal(steps[:4], [0, 1, 0, 1])
