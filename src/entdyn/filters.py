@@ -36,7 +36,8 @@ class NumericalError(RuntimeError):
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _SMALL_PHASE = 1e-6
 # The largest shipped configuration (PDD dt 0.25 at omega_max_scale 4) needs
-# ~8e3 panels; far beyond that the node arrays no longer fit in memory.
+# ~8e3 panels; far beyond that the node arrays no longer fit in memory. The
+# PDD filters keep one array entry per pulse and share the cap.
 _MAX_PANELS = 2**17
 # Below this x = L/tau, x - (1 - e^{-x}) is summed as a series: the direct
 # difference keeps only ~1e-16/x of its relative precision.
@@ -44,6 +45,13 @@ _SERIES_X = 1e-3
 
 # Engine that analytic_series runs for each noise kind.
 ANALYTIC_ENGINES = {STATIC: "static_closed_form", ORNSTEIN_UHLENBECK: "ou_recursion"}
+
+
+def _check_pulses(t: float, dt_pulse: float) -> None:
+    if not t / dt_pulse <= _MAX_PANELS:
+        raise NumericalError(
+            f"pdd filter needs {t / dt_pulse:.3g} pulses, above the cap of {_MAX_PANELS}"
+        )
 
 
 def filter_free(omega, t: float):
@@ -72,12 +80,14 @@ def filter_pdd(omega, t: float, dt_pulse: float):
     |1 + (-1)^(n+1) e^{iwt} + 2 sum_{k=1}^{n} (-1)^k e^{iwk dt}|^2 with
     n = floor(t / dt_pulse). The middle-term sign makes F vanish like w^2 as
     w -> 0, as the bounded toggling integral requires; it agrees with the
-    piecewise transform of y to roundoff.
+    piecewise transform of y to roundoff. Raises NumericalError when n would
+    exceed _MAX_PANELS.
     """
     if not dt_pulse > 0.0:
         raise ValueError(f"dt_pulse must be positive, got {dt_pulse!r}")
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
+    _check_pulses(t, dt_pulse)
     omega = np.asarray(omega, dtype=float)
     w = np.atleast_1d(omega).ravel()
     n = int(np.floor(t / dt_pulse + 1e-9))
@@ -93,10 +103,13 @@ def filter_weight(protocol: PulseProtocol, omega, t: float):
     """F(w,t)/w^2 = |int_0^t y(t') e^{i w t'} dt'|^2, exact per sign segment.
 
     Finite everywhere; at w -> 0 it goes to (int_0^t y dt')^2, evaluated by a
-    Taylor branch rather than by a 0/0 quotient.
+    Taylor branch rather than by a 0/0 quotient. Raises NumericalError for
+    a PDD with more than _MAX_PANELS pulses up to t.
     """
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
+    if protocol.kind == PDD:
+        _check_pulses(t, protocol.dt_pulse)
     omega = np.asarray(omega, dtype=float)
     w = np.atleast_1d(omega).astype(float)
     out = np.empty_like(w)

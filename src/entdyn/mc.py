@@ -14,9 +14,13 @@ kernel its structure allows:
   sum over trajectories is one product of two small exp tables, from which
   every m(t_j) is gathered (conjugated where s_j >= 0). No per-point phase
   is formed.
-- OU noise: the paths come time-major, (n_points, batch) with contiguous
-  rows; one pass along the time axis accumulates the phases, and real cos
-  and sin sums over each row give m.
+- OU noise: one pass along the time axis, _ROWS grid rows at a time. Each
+  chunk hashes its counters into Gaussians, continues the OU recursion from
+  the row before (`noise.ou_chunk`), continues the phase segments from the
+  carried segment state (`_phase_block`) and takes real cos and sin sums
+  over each row. No (n_points, batch) array is formed: the memory per batch
+  is O(batch x _ROWS), whatever the number of grid points, and every value
+  is the one a single whole-grid pass gives, bit for bit.
 
 The averaged state is the initial pure state v with its coherences across
 the sz_A blocks scaled by m(t): a one-sided channel, so its concurrence
@@ -44,13 +48,13 @@ from .filters import NumericalError
 from .grid import TimeGrid
 from .linalg import PHI_PLUS, check_state_vector
 from .measures import concurrence_pure, eof_from_concurrence
-from .noise import STATIC, NoiseModel, sample_block
+from .noise import STATIC, NoiseModel, ou_chunk, sample_block, trajectory_seed
 from .pulses import PulseProtocol, toggling_steps
 from .series import EntanglementSeries
 
 WORKERS_ENV = "ENTDYN_WORKERS"
 _BATCH = 8192
-_ROWS = 64  # time rows per cos/sin chunk of the OU reduction
+_ROWS = 64  # time rows per chunk of the OU pass; even, as gaussian_block needs
 
 
 @dataclass
@@ -71,9 +75,26 @@ class DephasingRun:
         self.initial_state = check_state_vector(self.initial_state, dim=4)
 
 
-def _phase_block(eps: np.ndarray, grid: TimeGrid, steps: np.ndarray) -> np.ndarray:
+class _PhaseCarry:
+    """State of the phase pass after the rows it has seen: the next grid row,
+    the last eps row, and the open segment's sign, its start phase and its
+    running sum of increments (copies, so the caller may reuse each chunk),
+    plus one scratch row for the increments."""
+
+    def __init__(self, n_traj: int):
+        self.row = 0
+        self.sign = 0  # no segment is open before the first interval
+        self.eps = np.empty(n_traj)
+        self.base = np.zeros(n_traj)
+        self.local = np.zeros(n_traj)
+        self.incr = np.empty(n_traj)
+
+
+def _phase_block(eps: np.ndarray, grid: TimeGrid, steps: np.ndarray,
+                 carry: _PhaseCarry | None = None) -> np.ndarray:
     """phi(t_j) = int_0^{t_j} y eps dt' for each column of the time-major
-    eps (n_points, n_traj), trapezoidal in eps and exact in y.
+    eps, trapezoidal in eps and exact in y; eps is overwritten with phi and
+    returned.
 
     The toggling sign y_j = s_{j+1} - s_j (``steps`` from
     `pulses.toggling_steps`) is constant on each grid interval, so each
@@ -82,33 +103,54 @@ def _phase_block(eps: np.ndarray, grid: TimeGrid, steps: np.ndarray) -> np.ndarr
     segment and adds each segment's running sum, with its sign, to the total
     at the segment start, so that a realization with constant eps refocuses
     bit-exactly (identical partial sums cancel) at the echo time.
+
+    The rows of eps are grid rows carry.row, carry.row + 1, ...; ``carry``
+    holds the state after the rows before them and is advanced past these.
+    Without a carry, eps is the whole grid. Chunks passed in order with one
+    carry give the phases of one whole-grid call, bit for bit.
     """
+    carry = _PhaseCarry(eps.shape[1]) if carry is None else carry
     half_dt = 0.5 * grid.dt
-    signs = np.diff(steps).tolist()
-    phi = np.empty((grid.n_points, eps.shape[1]))
-    phi[0] = 0.0
-    incr = np.empty(eps.shape[1])
-    local = np.empty(eps.shape[1])
-    for j, sign in enumerate(signs):
-        np.add(eps[j], eps[j + 1], out=incr)
-        incr *= half_dt
-        if j == 0 or sign != signs[j - 1]:  # a new segment starts at t_j
-            base = phi[j]
-            local[:] = incr
+    start = carry.row
+    signs = np.diff(steps[max(start - 1, 0) : start + len(eps)]).tolist()
+    rows = eps
+    if start == 0:
+        carry.eps[:] = eps[0]
+        eps[0] = 0.0
+        rows = eps[1:]
+    for row, sign in zip(rows, signs):
+        np.add(carry.eps, row, out=carry.incr)
+        carry.incr *= half_dt
+        carry.eps[:] = row
+        if sign != carry.sign:  # a new segment starts: its base is phi(t_j)
+            (np.add if carry.sign >= 0 else np.subtract)(carry.base, carry.local, out=carry.base)
+            carry.local[:] = carry.incr
+            carry.sign = sign
         else:
-            local += incr
-        (np.add if sign > 0 else np.subtract)(base, local, out=phi[j + 1])
-    return phi
+            carry.local += carry.incr
+        (np.add if sign > 0 else np.subtract)(carry.base, carry.local, out=row)
+    carry.row = start + len(eps)
+    return eps
 
 
-def _coherence_sums(phi: np.ndarray) -> np.ndarray:
-    """sum_k exp(-i phi[j, k]) for each time row j, from real cos and sin
-    sums taken a few rows at a time."""
-    sums = np.empty(phi.shape[0], dtype=complex)
-    for j in range(0, phi.shape[0], _ROWS):
-        rows = phi[j : j + _ROWS]
-        sums.real[j : j + _ROWS] = np.cos(rows).sum(axis=1)
-        sums.imag[j : j + _ROWS] = -np.sin(rows).sum(axis=1)
+def _ou_sums(run: DephasingRun, keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """sum_k exp(-i phi[j, k]) for each grid row j over the OU paths of
+    ``keys``, _ROWS rows at a time: Gaussians, OU recursion, the shift by
+    omega_a, the phase and real cos and sin row sums per chunk."""
+    grid = run.grid
+    sums = np.empty(grid.n_points, dtype=complex)
+    last = np.empty(keys.size)
+    carry = _PhaseCarry(keys.size)
+    trig = np.empty((min(_ROWS, grid.n_points), keys.size))
+    for start in range(0, grid.n_points, _ROWS):
+        stop = min(start + _ROWS, grid.n_points)
+        eps = ou_chunk(run.noise, keys, grid, start, stop - start, last)
+        eps -= run.omega_a
+        phi = _phase_block(eps, grid, steps, carry)  # in place: eps is phi now
+        t = trig[: stop - start]
+        sums.real[start:stop] = np.cos(phi, out=t).sum(axis=1)
+        sums.imag[start:stop] = -np.sin(phi, out=t).sum(axis=1)
+        del eps, phi  # drop this chunk before the next is drawn
     return sums
 
 
@@ -166,14 +208,12 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
     height = int(counts.max()) // width + 1
 
     def one_batch(bounds):
-        k0, k1 = bounds
-        eps = sample_block(run.noise, run.master_seed, np.arange(k0, k1), run.grid)
+        indices = np.arange(*bounds)
         with np.errstate(over="ignore", invalid="ignore"):  # run() checks m(t)
             if static:
+                eps = sample_block(run.noise, run.master_seed, indices, run.grid)
                 return _static_table(run.grid.dt * (eps[:, 0] - run.omega_a), width, height)
-            eps = eps.T
-            eps -= run.omega_a
-            return _coherence_sums(_phase_block(eps, run.grid, steps))
+            return _ou_sums(run, trajectory_seed(run.master_seed, indices), steps)
 
     partial = _map_batches(one_batch, run.n_traj, resolve_workers(workers))
     total = np.zeros_like(partial[0])

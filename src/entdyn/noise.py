@@ -6,7 +6,11 @@ Sampling is counter-based: every (seed, sample index) pair maps through a
 splitmix64-style mixing function to an independent uniform, and Gaussians come
 from Box-Muller on that stream. There is no generator state, so results are
 byte-identical for a given (model, seed, grid) regardless of batching, thread
-count, or call order.
+count, call order, or how the time axis is cut into chunks: any run of
+counters starting at an even one can be drawn on its own, and the OU recursion
+continues from the last row of the chunk before. The Monte Carlo draws OU
+paths a few time rows at a time (`ou_chunk`), so its memory per batch does not
+grow with the number of grid points.
 """
 
 from __future__ import annotations
@@ -98,29 +102,35 @@ def trajectory_seed(master_seed: int, index) -> np.ndarray:
     return keys.reshape(index.shape)
 
 
-def _uniforms(keys: np.ndarray, count: int) -> np.ndarray:
+def _uniforms(keys: np.ndarray, count: int, start: int) -> np.ndarray:
     """Open-below uniforms in (0, 1], shape (count, len(keys)): row c holds
-    counter c of every stream. Hashed a few rows at a time, so the uint64
-    temporaries stay small and in cache."""
+    counter start + c of every stream. Hashed a few rows at a time, so the
+    uint64 temporaries stay small and in cache."""
     u = np.empty((count, keys.size))
     for c in range(0, count, _HASH_ROWS):
         stop = min(c + _HASH_ROWS, count)
-        bits = _mix64(np.arange(c + 1, stop + 1, dtype=np.uint64)[:, None] * _GOLDEN + keys)
+        counters = np.arange(start + c + 1, start + stop + 1, dtype=np.uint64)
+        bits = _mix64(counters[:, None] * _GOLDEN + keys)
         bits >>= _U64(11)
         np.add(bits, 1.0, out=u[c:stop])
         u[c:stop] *= _TWO_NEG53
     return u
 
 
-def gaussian_block(keys, count: int) -> np.ndarray:
-    """Standard normals, shape (len(keys), count), by Box-Muller per stream.
+def gaussian_block(keys, count: int, start: int = 0) -> np.ndarray:
+    """Standard normals start .. start + count - 1 of each stream, shape
+    (len(keys), count), by Box-Muller per stream.
 
-    The result is the transpose of a C-ordered (count, len(keys)) array, so
-    its ``.T`` is time-major: each row holds one counter of every stream,
-    contiguously.
+    ``start`` must be even, so that Box-Muller pairs the same counters as a
+    block drawn from 0: any run of rows equals the same rows of one long
+    block, bit for bit. The result is the transpose of a C-ordered
+    (count, len(keys)) array, so its ``.T`` is time-major: each row holds one
+    counter of every stream, contiguously.
     """
+    if start % 2:
+        raise ValueError(f"start must be even, got {start!r}")
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    z = _uniforms(keys, 2 * ((count + 1) // 2))
+    z = _uniforms(keys, 2 * ((count + 1) // 2), start)
     r, theta = z[0::2], z[1::2]  # in place: z -> (r cos theta, r sin theta)
     np.log(r, out=r)
     r *= -2.0
@@ -138,23 +148,31 @@ def _static_block(model: NoiseModel, keys) -> np.ndarray:
     return model.sigma * gaussian_block(keys, 1)[:, 0]
 
 
-def _ou_block(model: NoiseModel, keys, grid: TimeGrid) -> np.ndarray:
-    """Stationary OU paths, time-major: shape (n_points, len(keys)), exact
-    discretization.
+def ou_chunk(model: NoiseModel, keys, grid: TimeGrid, start: int, count: int,
+             last: np.ndarray) -> np.ndarray:
+    """Stationary OU paths at grid rows start .. start + count - 1, time-major:
+    shape (count, len(keys)), exact discretization.
 
     eps_0 ~ N(0, sigma^2); eps_{j+1} = alpha eps_j + sigma sqrt(1 - alpha^2) z,
     alpha = exp(-dt/tau). Exact in distribution at the grid points, so there
-    is no time-step bias. The recursion runs in place over contiguous rows.
+    is no time-step bias. The recursion runs in place over the contiguous
+    rows of a fresh `gaussian_block` (``start`` even). It continues from
+    ``last``, the paths at row start - 1 (unused at start 0), and leaves this
+    chunk's last row there, so consecutive chunks give the rows of one block
+    bit for bit while the caller reuses or overwrites each chunk.
     """
-    eps = gaussian_block(keys, grid.n_points).T
+    eps = gaussian_block(keys, count, start).T
     alpha = math.exp(-grid.dt / model.tau)
     q = model.sigma * math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    eps[0] *= model.sigma
-    carried = np.empty_like(eps[0])
-    for j in range(1, grid.n_points):
-        eps[j] *= q
-        np.multiply(eps[j - 1], alpha, out=carried)
-        eps[j] += carried
+    carried = np.empty_like(last)
+    for i, row in enumerate(eps):
+        if start + i == 0:
+            row *= model.sigma
+            continue
+        row *= q
+        np.multiply(eps[i - 1] if i else last, alpha, out=carried)
+        row += carried
+    last[:] = eps[-1]
     return eps
 
 
@@ -164,9 +182,11 @@ def sample_block(model: NoiseModel, master_seed: int, indices, grid: TimeGrid) -
     Row k depends only on ``(model, master_seed, indices[k], grid)``, so any
     subset or order of indices reproduces the same rows bit for bit. Static
     paths are a read-only broadcast view of one offset per row; OU paths are
-    the transpose of a time-major array, so ``.T`` has contiguous rows.
+    one `ou_chunk` over the whole grid, transposed, so ``.T`` has contiguous
+    rows. The Monte Carlo does not call this for OU noise: it draws the same
+    rows chunk by chunk.
     """
     keys = trajectory_seed(master_seed, indices)
     if model.kind == STATIC:
         return np.broadcast_to(_static_block(model, keys)[:, None], (keys.size, grid.n_points))
-    return _ou_block(model, keys, grid).T
+    return ou_chunk(model, keys, grid, 0, grid.n_points, np.empty(keys.size)).T

@@ -223,6 +223,18 @@ def test_static_overflow_exits_3(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_ou_overflow_exits_3(tmp_path):
+    # sigma = 1e308 overflows the OU paths and the phases. With every warning
+    # an error, the run still ends in one line and exit 3: no RuntimeWarning.
+    out = tmp_path / "x.csv"
+    args = "--mode mc --noise ou --sigma 1e308 --tau 20 --tmax 8 --points 11 --ntraj 10"
+    result = run_entdyn([*args.split(), "-o", str(out)], PYTHONWARNINGS="error")
+    assert result.returncode == cli.EXIT_NUMERICAL, result.stderr
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("entdyn: numerical failure:") and "not finite" in result.stderr
+    assert not out.exists()
+
+
 def test_pdd_below_grid_step_exits_2():
     args = "--mode analytic --noise static --sigma 1 --protocol pdd --dt-pulse 1e-12 --points 11"
     result = run_entdyn(args.split())

@@ -99,6 +99,18 @@ def test_filter_closed_forms_match_numeric():
     assert worst_pdd <= 1e-8
 
 
+def test_pdd_filters_cap_the_pulse_count():
+    # 8e12 pulses would take one array entry each (tens of TiB); the cap
+    # raises before any array is built.
+    tiny = PulseProtocol.pdd(1e-12)
+    with pytest.raises(NumericalError, match="pulses, above the cap"):
+        filter_numeric(tiny, 1.0, 8.0)
+    with pytest.raises(NumericalError, match="pulses, above the cap"):
+        filter_weight(tiny, np.array([0.0, 1.0]), 8.0)
+    with pytest.raises(NumericalError, match="pulses, above the cap"):
+        filter_pdd(1.0, 8.0, 1e-12)
+
+
 def test_filter_numeric_matches_independent_transform():
     rng = np.random.default_rng(67)
     for protocol in (FREE, ECHO4, PulseProtocol.pdd(0.7)):

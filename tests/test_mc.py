@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from entdyn.grid import TimeGrid
 from entdyn.linalg import PHI_MINUS, PHI_PLUS, check_density_matrix
+from entdyn import mc
 from entdyn.mc import DephasingRun, _phase_block, coherence_series, run
 from entdyn.measures import concurrence_mixed, concurrence_pure
 from entdyn.noise import NoiseModel
@@ -103,6 +105,41 @@ def test_static_table_refocuses_exactly(case):
 def test_ou_time_major_matches_reference(cfg):
     m = coherence_series(cfg)
     assert np.max(np.abs(m - coherence_reference(cfg))) <= 1e-13
+
+
+OU_CHUNK_CASES = {
+    # The echo pulse at index 400 falls on a chunk boundary for 2 and 16 rows.
+    "echo": DephasingRun(OU20, ECHO4, GRID, 2_000, 151),
+    "pdd025": DephasingRun(NoiseModel.ou(1.0, 2.0), PulseProtocol.pdd(0.25), GRID, 2_000, 157),
+    "free_omega_a": DephasingRun(OU20, FREE, GRID, 2_000, 163, omega_a=0.7),
+    "partial_batch": DephasingRun(OU20, ECHO4, TimeGrid(8.0, 161), 8192 + 5, 167),
+    "two_points": DephasingRun(OU20, FREE, TimeGrid(8.0, 2), 1_000, 173),
+}
+
+
+@pytest.mark.parametrize("rows", [2, 6, 16, 64, 1024])
+@pytest.mark.parametrize("case", sorted(OU_CHUNK_CASES))
+def test_ou_chunk_height_leaves_m_bit_identical(case, rows, monkeypatch):
+    # Every chunk continues the Gaussians, the OU recursion and the phase
+    # segments from the one before: any chunk height gives the same m(t).
+    cfg = OU_CHUNK_CASES[case]
+    default = coherence_series(cfg)
+    monkeypatch.setattr(mc, "_ROWS", rows)
+    assert np.array_equal(coherence_series(cfg), default)
+
+
+@pytest.mark.parametrize("n_points", [801, 3201])
+def test_ou_memory_does_not_grow_with_grid_points(n_points):
+    # Two batches of 8192 trajectories; a whole (n_points, batch) array of
+    # float64 would be 52 MB at 801 points and 210 MB at 3201.
+    cfg = DephasingRun(OU20, ECHO4, TimeGrid(8.0, n_points), 16_384, 179)
+    tracemalloc.start()
+    try:
+        coherence_series(cfg, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_trajectory_state_identity():
