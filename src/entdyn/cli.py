@@ -230,12 +230,13 @@ def parse_config(argv=None) -> RunConfig:
 def execute(config: RunConfig) -> None:
     """Run the configured engine and write CSV plus manifest atomically."""
     start = time.perf_counter()
-    x_name = None
+    x_name = workers = None
     if config.mode == "mc":
+        workers = resolve_workers(None)
         series = run(DephasingRun(
             noise=config.noise, protocol=config.protocol, grid=config.grid,
             n_traj=config.n_traj, master_seed=config.master_seed,
-        ))
+        ), workers)
         x_name = "sigma_t"
         x_values = config.noise.sigma * series.times
     elif config.mode == "analytic":
@@ -261,6 +262,8 @@ def execute(config: RunConfig) -> None:
     }
     if config.mode == "analytic":
         manifest["engine"] = ANALYTIC_ENGINES[config.noise.kind]
+    if workers is not None:
+        manifest["workers"] = workers
     write_manifest(config.output_path + ".manifest.json", manifest)
 
 

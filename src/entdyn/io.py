@@ -58,14 +58,5 @@ def write_series_csv(path: str, series: EntanglementSeries, x_values=None) -> di
     return {name: hashlib.sha256("\n".join(cells).encode()).hexdigest() for name, cells in columns.items()}
 
 
-def column_checksums_from_csv(path: str) -> dict[str, str]:
-    """Recompute the per-column checksums from a written CSV."""
-    with open(path, "r", newline="") as handle:
-        rows = [line.rstrip("\n").split(",") for line in handle if line.strip()]
-    names = rows[0]
-    columns = {name: [row[i] for row in rows[1:]] for i, name in enumerate(names)}
-    return {name: hashlib.sha256("\n".join(cells).encode()).hexdigest() for name, cells in columns.items()}
-
-
 def write_manifest(path: str, manifest: dict) -> None:
     _atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

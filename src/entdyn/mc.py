@@ -22,6 +22,12 @@ kernel its structure allows:
   is O(batch x _ROWS), whatever the number of grid points, and every value
   is the one a single whole-grid pass gives, bit for bit.
 
+Both kernels take cos and sin from one tangent of the half angle
+(`noise._half_angle`): with t = tan(phi/2) and w = 2 / (1 + t^2),
+cos phi = w - 1 and sin phi = t w. numpy's float64 tan is vectorized, its cos
+and sin are not, so this is the cheaper way to the same values (within
+~3e-16 absolute).
+
 The averaged state is the initial pure state v with its coherences across
 the sz_A blocks scaled by m(t): a one-sided channel, so its concurrence
 factorizes as C(t) = |m(t)| C(v) (Konrad et al., Nat. Phys. 4, 99, 2008).
@@ -48,7 +54,7 @@ from .filters import NumericalError
 from .grid import TimeGrid
 from .linalg import PHI_PLUS, check_state_vector
 from .measures import concurrence_pure, eof_from_concurrence
-from .noise import STATIC, NoiseModel, ou_chunk, sample_block, trajectory_seed
+from .noise import STATIC, NoiseModel, _half_angle, ou_chunk, sample_block, trajectory_seed
 from .pulses import PulseProtocol, toggling_steps
 from .series import EntanglementSeries
 
@@ -136,21 +142,26 @@ def _phase_block(eps: np.ndarray, grid: TimeGrid, steps: np.ndarray,
 def _ou_sums(run: DephasingRun, keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """sum_k exp(-i phi[j, k]) for each grid row j over the OU paths of
     ``keys``, _ROWS rows at a time: Gaussians, OU recursion, the shift by
-    omega_a, the phase and real cos and sin row sums per chunk."""
+    omega_a, the phase and real cos and sin row sums per chunk, from
+    t = tan(phi/2) and w = 2 / (1 + t^2): sum cos = sum w - n and
+    sum sin = sum t w."""
     grid = run.grid
     sums = np.empty(grid.n_points, dtype=complex)
     last = np.empty(keys.size)
     carry = _PhaseCarry(keys.size)
-    trig = np.empty((min(_ROWS, grid.n_points), keys.size))
+    weights = np.empty((min(_ROWS, grid.n_points), keys.size))
     for start in range(0, grid.n_points, _ROWS):
         stop = min(start + _ROWS, grid.n_points)
         eps = ou_chunk(run.noise, keys, grid, start, stop - start, last)
         eps -= run.omega_a
-        phi = _phase_block(eps, grid, steps, carry)  # in place: eps is phi now
-        t = trig[: stop - start]
-        sums.real[start:stop] = np.cos(phi, out=t).sum(axis=1)
-        sums.imag[start:stop] = -np.sin(phi, out=t).sum(axis=1)
-        del eps, phi  # drop this chunk before the next is drawn
+        _phase_block(eps, grid, steps, carry)  # in place: eps is phi now
+        eps *= 0.5
+        w = weights[: stop - start]
+        _half_angle(eps, w)  # eps is tan(phi/2) now
+        sums.real[start:stop] = w.sum(axis=1) - keys.size
+        eps *= w
+        sums.imag[start:stop] = -eps.sum(axis=1)
+        del eps  # drop this chunk before the next is drawn
     return sums
 
 
@@ -162,11 +173,15 @@ def _static_table(x: np.ndarray, width: int, height: int) -> np.ndarray:
     small tables of exp(i x_k r) and exp(i x_k q width).
     """
 
+    half_x = 0.5 * x
+
     def exp_table(counts):
-        arg = np.multiply.outer(x, counts)
-        table = np.empty(arg.shape, dtype=complex)
-        np.cos(arg, out=table.real)
-        np.sin(arg, out=table.imag)
+        t = np.multiply.outer(half_x, counts)
+        table = np.empty(t.shape, dtype=complex)
+        w = table.real
+        _half_angle(t, w)
+        np.multiply(t, w, out=table.imag)
+        w -= 1.0
         return table
 
     return exp_table(np.arange(width)).T @ exp_table(width * np.arange(height))

@@ -9,11 +9,13 @@ indices rounded from the pulse times instead of the toggling step counts,
 Gaussians, OU paths and the coherence m(t) along the trajectory-major
 layout and complex exp-and-sum the Monte Carlo kernels replace, and the
 Monte Carlo measures via a stepwise propagator on each trajectory's
-state instead of the closed forms |m| C(v) and EoF(C(v)).
+state instead of the closed forms |m| C(v) and EoF(C(v)). The CSV column
+checksums are recomputed from the written file, not from the series.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -238,10 +240,11 @@ def gaussian_rows(keys, count: int) -> np.ndarray:
     bits = noise._mix64(keys[:, None] + (counters[None, :] + np.uint64(1)) * noise._GOLDEN)
     u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
     r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    theta = (2.0 * np.pi) * u[:, 1::2]
+    t = np.tan(np.pi * u[:, 1::2])  # half of the angle 2 pi u
+    w = 2.0 / (1.0 + t * t)
     z = np.empty((keys.shape[0], 2 * pairs))
-    z[:, 0::2] = r * np.cos(theta)
-    z[:, 1::2] = r * np.sin(theta)
+    z[:, 0::2] = r * (w - 1.0)
+    z[:, 1::2] = r * (t * w)
     return z[:, :count]
 
 
@@ -273,3 +276,12 @@ def coherence_reference(config, batch: int = 8192) -> np.ndarray:
         phi = _phase_block(np.ascontiguousarray(eps.T), grid, steps)
         total += np.exp(-1j * phi).sum(axis=1)
     return total / config.n_traj
+
+
+def column_checksums_from_csv(path: str) -> dict[str, str]:
+    """Recompute the per-column checksums of a manifest from a written CSV."""
+    with open(path, "r", newline="") as handle:
+        rows = [line.rstrip("\n").split(",") for line in handle if line.strip()]
+    names = rows[0]
+    columns = {name: [row[i] for row in rows[1:]] for i, name in enumerate(names)}
+    return {name: hashlib.sha256("\n".join(cells).encode()).hexdigest() for name, cells in columns.items()}

@@ -8,8 +8,8 @@ import pytest
 import entdyn.cli as cli
 from entdyn.cli import ConfigError, RunConfig, execute, main, parse_config
 from entdyn.filters import NumericalError
-from entdyn.io import column_checksums_from_csv
 from cli_command import run_entdyn
+from oracles import column_checksums_from_csv
 
 
 def read_csv(path):
@@ -151,6 +151,22 @@ def test_worker_env_does_not_change_bytes(tmp_path, monkeypatch):
         execute(parse_config(f"{args} -o {out}".split()))
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_mc_manifest_records_workers(tmp_path, monkeypatch):
+    import json
+
+    args = "--mode mc --noise static --sigma 1 --protocol echo --tbar 2 --tmax 4 --points 41 --ntraj 100 --seed 3"
+    checksums = []
+    for workers in ("1", "3"):
+        monkeypatch.setenv("ENTDYN_WORKERS", workers)
+        out = tmp_path / f"w{workers}.csv"
+        execute(parse_config(f"{args} -o {out}".split()))
+        with open(str(out) + ".manifest.json") as handle:
+            manifest = json.load(handle)
+        assert manifest["workers"] == int(workers)
+        checksums.append(manifest["columns"])
+    assert checksums[0] == checksums[1]
 
 
 def test_main_exit_codes(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from entdyn.linalg import PHI_MINUS, PHI_PLUS, check_density_matrix
 from entdyn import mc
 from entdyn.mc import DephasingRun, _phase_block, coherence_series, run
 from entdyn.measures import concurrence_mixed, concurrence_pure
-from entdyn.noise import NoiseModel
+from entdyn.noise import NoiseModel, _half_angle
 from entdyn.pulses import PulseProtocol, toggling_steps
 from oracles import (
     chi_free_ou,
@@ -140,6 +140,38 @@ def test_ou_memory_does_not_grow_with_grid_points(n_points):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_half_angle_matches_libm_cos_sin():
+    rng = np.random.default_rng(181)
+    x = np.concatenate([[0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 2 * np.pi, 1e6],
+                        rng.uniform(-1e12, 1e12, 20_000), rng.uniform(-10.0, 10.0, 20_000)])
+    t = 0.5 * x
+    w = np.empty_like(t)
+    _half_angle(t, w)
+    cos, sin = w - 1.0, t * w
+    assert (cos[0], sin[0]) == (1.0, 0.0)
+    assert np.max(np.abs(cos - np.cos(x))) <= 4e-16
+    assert np.max(np.abs(sin - np.sin(x))) <= 4e-16
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        DephasingRun(NoiseModel.ou(50.0, 0.2), FREE, TimeGrid(8.0, 201), 3_000, 191),
+        DephasingRun(OU20, ECHO4, TimeGrid(8.0, 201), 3_000, 193, omega_a=40.0),
+    ],
+    ids=["sigma50_free", "omega_a40_echo"],
+)
+def test_ou_large_phases_match_reference(cfg):
+    # Phases reach hundreds of radians, where tan(phi/2) must still give
+    # the cos and sin of libm's complex exp to roundoff.
+    m = coherence_series(cfg)
+    assert np.max(np.abs(m - coherence_reference(cfg))) <= 1e-13
+
+
+def test_ou_coherence_is_exactly_one_at_zero():
+    assert coherence_series(OU_CHUNK_CASES["echo"])[0] == 1 + 0j
 
 
 def test_trajectory_state_identity():

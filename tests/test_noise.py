@@ -7,6 +7,7 @@ from numpy.testing import assert_array_equal
 from entdyn.grid import TimeGrid
 from entdyn.noise import (
     NoiseModel,
+    _uniforms,
     gaussian_block,
     power_spectrum,
     sample_block,
@@ -135,6 +136,20 @@ def test_time_major_gaussians_match_stream_by_stream(count):
     assert block.shape == (3000, count)
     assert block.T.flags.c_contiguous
     assert np.array_equal(block.T, gaussian_rows(keys, count).T)
+
+
+def test_box_muller_matches_textbook_trig():
+    # The half-angle kernel against r cos(2 pi u), r sin(2 pi u) from libm.
+    keys = trajectory_seed(3141, np.arange(3000))
+    z = gaussian_block(keys, 801).T
+    u = _uniforms(keys, 802, 0)
+    r = np.sqrt(-2.0 * np.log(u[0::2]))
+    theta = 2.0 * np.pi * u[1::2]
+    textbook = np.empty_like(u)
+    textbook[0::2] = r * np.cos(theta)
+    textbook[1::2] = r * np.sin(theta)
+    textbook = textbook[:801]
+    assert np.all(np.abs(z - textbook) <= 8 * np.spacing(np.maximum(np.abs(z), 1.0)))
 
 
 @pytest.mark.parametrize("model", [NoiseModel.static(1.3), NoiseModel.ou(0.8, 5.0)], ids=["static", "ou"])
