@@ -35,14 +35,12 @@ from .linalg import (
 )
 from .mc import DephasingRun, run
 from .measures import (
-    EntanglementReport,
     WeightedEnsemble,
     average_entanglement,
     concurrence_mixed,
     concurrence_pure,
     entropy_of_entanglement,
     eof_from_concurrence,
-    hidden_entanglement,
 )
 from .noise import NoiseModel, power_spectrum
 from .pulses import PulseProtocol, pulse_times, toggling_steps
@@ -59,7 +57,6 @@ from .series import EntanglementSeries
 
 __all__ = [
     "DephasingRun",
-    "EntanglementReport",
     "EntanglementSeries",
     "JCScenario",
     "NoiseModel",
@@ -86,7 +83,6 @@ __all__ = [
     "filter_pdd",
     "filter_weight",
     "hermitian_eigen",
-    "hidden_entanglement",
     "jc_ensemble",
     "jc_measures",
     "jc_state",

@@ -31,6 +31,7 @@ EXIT_IO = 4
 MODES = ("mc", "analytic", "randomfield", "jc")
 
 _DEFAULT_NTRAJ = 100_000
+MAX_POINTS = 2**20  # grid points; larger grids are refused before any array is built
 _DEFAULT_SEED = 1
 
 
@@ -210,8 +211,11 @@ def parse_config(argv=None) -> RunConfig:
             raise ConfigError(f"g must be positive, got {g}")
         default_tmax, default_points = 2.0 * math.pi / g, 401
 
+    points = int(values.get("points", default_points))
+    if points > MAX_POINTS:
+        raise ConfigError(f"points must be at most {MAX_POINTS} (2^20), got {points}")
     try:
-        grid = TimeGrid(float(values.get("tmax", default_tmax)), int(values.get("points", default_points)))
+        grid = TimeGrid(float(values.get("tmax", default_tmax)), points)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if protocol is not None:

@@ -20,17 +20,18 @@ from .series import EntanglementSeries
 MEASURE_COLUMNS = ("concurrence", "e_f", "e_av", "e_hidden")
 
 
-def format_value(v: float) -> str:
-    return f"{float(v):.12g}"
+def format_column(values) -> list[str]:
+    """Cells of one column: 12 significant digits, from Python floats."""
+    return [f"{v:.12g}" for v in np.asarray(values, dtype=float).tolist()]
 
 
 def series_columns(series: EntanglementSeries, x_values=None) -> dict[str, list[str]]:
     """Ordered mapping of column name to formatted cells."""
-    columns: dict[str, list[str]] = {"t": [format_value(t) for t in series.times]}
+    columns: dict[str, list[str]] = {"t": format_column(series.times)}
     if x_values is not None:
-        columns["x"] = [format_value(x) for x in np.asarray(x_values, dtype=float)]
+        columns["x"] = format_column(x_values)
     for name in MEASURE_COLUMNS:
-        columns[name] = [format_value(v) for v in getattr(series, name)]
+        columns[name] = format_column(getattr(series, name))
     return columns
 
 

@@ -28,48 +28,56 @@ PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
+def _worst(values: np.ndarray, badness: np.ndarray):
+    """The member of a stack with the largest ``badness``, for error messages."""
+    return values.reshape(-1)[int(np.argmax(badness.reshape(-1)))]
+
+
 def check_state_vector(psi, dim: int | None = None) -> np.ndarray:
-    """Validate a pure state: 1-D, complex, unit norm to 1e-12."""
+    """Validate pure states, shape (..., d): complex, each of unit norm to 1e-12."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise ValueError(f"state vector must be 1-D, got shape {psi.shape}")
-    if dim is not None and psi.shape[0] != dim:
-        raise ValueError(f"state vector has dimension {psi.shape[0]}, expected {dim}")
-    norm_sq = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValueError(f"state vector not normalized: |psi|^2 = {norm_sq!r}")
+    if psi.ndim < 1:
+        raise ValueError(f"state vector must have at least 1 axis, got shape {psi.shape}")
+    if dim is not None and psi.shape[-1] != dim:
+        raise ValueError(f"state vector has dimension {psi.shape[-1]}, expected {dim}")
+    norm_sq = np.sum(np.abs(psi) ** 2, axis=-1)
+    dev = np.abs(norm_sq - 1.0)
+    if np.any(dev > NORM_TOL):
+        raise ValueError(f"state vector not normalized: |psi|^2 = {float(_worst(norm_sq, dev))!r}")
     return psi
 
 
 def check_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate a square Hermitian matrix to the given entrywise tolerance."""
+    """Validate square Hermitian matrices, shape (..., d, d), to the given entrywise tolerance."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    dev = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
     return m
 
 
 def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, eigenvalues >= -1e-10."""
+    """Validate density matrices, shape (..., d, d): Hermitian, unit trace,
+    eigenvalues >= -1e-10."""
     rho = check_hermitian(rho)
-    if dim is not None and rho.shape[0] != dim:
-        raise ValueError(f"density matrix has dimension {rho.shape[0]}, expected {dim}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-    w_min = float(np.min(np.linalg.eigvalsh(rho)))
+    if dim is not None and rho.shape[-1] != dim:
+        raise ValueError(f"density matrix has dimension {rho.shape[-1]}, expected {dim}")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    dev = np.abs(tr - 1.0)
+    if np.any(dev > TRACE_TOL):
+        raise ValueError(f"density matrix trace is {complex(_worst(tr, dev))!r}, expected 1")
+    w_min = float(np.min(np.linalg.eigvalsh(rho), initial=np.inf))
     if w_min < EIG_FLOOR:
         raise ValueError(f"density matrix has eigenvalue {w_min:.3e} < {EIG_FLOOR}")
     return rho
 
 
 def projector(psi) -> np.ndarray:
-    """|psi><psi| for a unit-norm state vector."""
+    """|psi><psi| for unit-norm state vectors, shape (..., d) -> (..., d, d)."""
     psi = check_state_vector(psi)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -82,42 +90,47 @@ def tensor_product(a, b) -> np.ndarray:
 
 
 def partial_trace(rho, keep: int, dims) -> np.ndarray:
-    """Trace out all tensor factors except ``dims[keep]``.
+    """Trace out all tensor factors except ``dims[keep]``, shape (..., D, D).
 
     ``dims`` lists the factor dimensions in the global ordering (left factor
-    first); their product must equal the dimension of ``rho``.
+    first); their product must equal the dimension D of ``rho``.
     """
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (total, total):
+    if rho.ndim < 2 or rho.shape[-2:] != (total, total):
         raise ValueError(f"dims {dims} do not match matrix of shape {rho.shape}")
     if not 0 <= keep < len(dims):
         raise ValueError(f"keep index {keep} out of range for {len(dims)} factors")
-    t = rho.reshape(dims + dims)
+    lead = rho.ndim - 2
+    t = rho.reshape(rho.shape[:-2] + dims + dims)
     n_factors = len(dims)
     # Trace highest non-kept axis first so earlier axis numbers stay valid.
     for axis in reversed(range(len(dims))):
         if axis == keep:
             continue
-        t = np.trace(t, axis1=axis, axis2=axis + n_factors)
+        t = np.trace(t, axis1=lead + axis, axis2=lead + axis + n_factors)
         n_factors -= 1
     return t
 
 
 def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
+    """Eigendecomposition of Hermitian matrices (..., d, d), eigenvalues sorted
+    descending.
 
-    Returns ``(w, v)`` with ``m @ v[:, k] == w[k] * v[:, k]``.
+    Returns ``(w, v)`` with ``m @ v[..., :, k] == w[..., k] * v[..., :, k]``.
     """
     m = check_hermitian(m)
     w, v = np.linalg.eigh(m)
-    return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
+    return np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
 
 
-def von_neumann_entropy(rho) -> float:
-    """-sum(lambda log2 lambda) in bits, with 0 log 0 = 0."""
+def von_neumann_entropy(rho):
+    """-sum(lambda log2 lambda) in bits, with 0 log 0 = 0, per matrix of a
+    stack (..., d, d)."""
     rho = check_density_matrix(rho)
     w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    w = w[w > 1e-18]
-    return float(max(0.0, -np.sum(w * np.log2(w))))
+    kept = w > 1e-18
+    terms = np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0)
+    # + 0.0 turns the -0.0 of a pure state into 0.0
+    return np.maximum(-np.sum(terms, axis=-1), 0.0)[()] + 0.0

@@ -1,21 +1,22 @@
 """Two-qubit entanglement measures.
 
 Concurrence (pure and Wootters mixed-state), entanglement of formation,
-entropy of entanglement, and the ensemble quantities built on them: the
-probability-weighted average entanglement of a pure-state decomposition and
-the hidden-entanglement gap between that average and the entanglement of
-formation of the averaged density matrix.
+entropy of entanglement, and the probability-weighted average entanglement
+of a pure-state decomposition. The mixed-state concurrence, the entropies
+and the EoF take stacks: a leading batch axis (the time grid, for the
+scenarios) runs through one call, and a single state is a stack with no
+leading axes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     SIGMA_Y,
+    _worst,
     check_density_matrix,
     check_state_vector,
     hermitian_eigen,
@@ -29,14 +30,30 @@ _SPIN_FLIP = tensor_product(SIGMA_Y, SIGMA_Y)
 _CLAMP = 1e-9
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1 - x) log2 (1 - x), with h(0) = h(1) = 0."""
-    x = float(x)
-    if x < -_CLAMP or x > 1.0 + _CLAMP:
-        raise ValueError(f"binary entropy argument {x!r} outside [0, 1]")
-    if x <= 1e-15 or x >= 1.0 - 1e-15:
-        return 0.0
-    return float(-(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x)))
+def _single_state(psi) -> np.ndarray:
+    """One two-qubit state vector, shape (4,): the measures without a stack axis."""
+    psi = check_state_vector(psi, dim=4)
+    if psi.ndim != 1:
+        raise ValueError(f"expected one state vector, got shape {psi.shape}")
+    return psi
+
+
+def _check_range(x: np.ndarray, what: str) -> None:
+    """Raise for the member of a stack furthest outside [0, 1] beyond the clamp band."""
+    excess = np.maximum(-x, x - 1.0)
+    if np.any(excess > _CLAMP):
+        raise ValueError(f"{what} {float(_worst(x, excess))!r} outside [0, 1]")
+
+
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1 - x) log2 (1 - x), with h(0) = h(1) = 0, per
+    element of an array (...)."""
+    x = np.asarray(x, dtype=float)
+    _check_range(x, "binary entropy argument")
+    inner = (x > 1e-15) & (x < 1.0 - 1e-15)
+    y = np.where(inner, x, 0.5)
+    h = -(y * np.log2(y) + (1.0 - y) * np.log2(1.0 - y))
+    return np.where(inner, h, 0.0)[()]
 
 
 def concurrence_pure(psi) -> float:
@@ -45,13 +62,13 @@ def concurrence_pure(psi) -> float:
     Dividing by the norm (1 to 1e-12) cancels the rounding of the amplitudes,
     so the Bell states give exactly 1.
     """
-    psi = check_state_vector(psi, dim=4)
+    psi = _single_state(psi)
     c = 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2]) / np.vdot(psi, psi).real
     return float(min(1.0, c))
 
 
-def concurrence_mixed(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence_mixed(rho):
+    """Wootters concurrence of two-qubit density matrices, shape (..., 4, 4).
 
     The Wootters lambdas are the root-eigenvalues of rho @ rho_tilde with
     rho_tilde = (sy x sy) rho* (sy x sy). Writing rho = L L^dag through its
@@ -60,30 +77,33 @@ def concurrence_mixed(rho) -> float:
     L^dag rho_tilde L, so no general complex eigensolver is needed. The rank
     truncation matters: eigenvalues of rho at roundoff level would otherwise
     contaminate the lambdas at the sqrt(eps) ~ 1e-8 scale on rank-deficient
-    states.
+    states. The dropped eigenfactor columns are zeroed, which keeps every
+    member of a stack at 4 x 4 and adds zero lambdas only.
     """
     rho = check_density_matrix(rho, dim=4)
     rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     w, v = hermitian_eigen(rho)
-    keep = w > 1e-12 * w[0]
-    factor = v[:, keep] * np.sqrt(w[keep])
-    lam_sq = np.linalg.eigvalsh(factor.conj().T @ rho_tilde @ factor)
-    lam = np.sort(np.sqrt(np.clip(lam_sq, 0.0, None)))[::-1]
-    lam = np.concatenate([lam, np.zeros(4 - lam.size)])
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    keep = w > 1e-12 * w[..., :1]
+    factor = v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
+    lam_sq = np.linalg.eigvalsh(factor.conj().swapaxes(-1, -2) @ rho_tilde @ factor)
+    lam = np.sqrt(np.clip(lam_sq, 0.0, None))  # ascending, as eigvalsh returns them
+    c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
+    # + 0.0 turns a -0.0 difference into 0.0
+    return np.maximum(c, 0.0)[()] + 0.0
 
 
-def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) in bits."""
-    c = float(c)
-    if c < -_CLAMP or c > 1.0 + _CLAMP:
-        raise ValueError(f"concurrence {c!r} outside [0, 1]")
-    c = min(1.0, max(0.0, c))
-    return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+def eof_from_concurrence(c):
+    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) in bits, per
+    element of an array (...)."""
+    c = np.asarray(c, dtype=float)
+    _check_range(c, "concurrence")
+    c = np.clip(c, 0.0, 1.0)
+    return binary_entropy(0.5 * (1.0 + np.sqrt(np.maximum(1.0 - c * c, 0.0))))
 
 
-def entropy_of_entanglement(psi) -> float:
-    """Von Neumann entropy of the reduced state of qubit A, in bits."""
+def entropy_of_entanglement(psi):
+    """Von Neumann entropy of the reduced state of qubit A, in bits, per
+    state of a stack (..., 4)."""
     psi = check_state_vector(psi, dim=4)
     return von_neumann_entropy(partial_trace(projector(psi), 0, (2, 2)))
 
@@ -101,7 +121,7 @@ class WeightedEnsemble:
             p = float(p)
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"member probability {p!r} outside (0, 1]")
-            checked.append((p, check_state_vector(psi, dim=4)))
+            checked.append((p, _single_state(psi)))
             total += p
         if not checked:
             raise ValueError("ensemble has no members")
@@ -116,29 +136,6 @@ class WeightedEnsemble:
         return rho
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Entanglement of one ensemble: mixed-state measures plus the hidden gap."""
-
-    concurrence: float
-    eof: float
-    e_av: float
-    e_hidden: float
-
-
 def average_entanglement(ensemble: WeightedEnsemble) -> float:
     """Probability-weighted entropy of entanglement over the ensemble members."""
     return float(sum(p * entropy_of_entanglement(psi) for p, psi in ensemble.members))
-
-
-def hidden_entanglement(ensemble: WeightedEnsemble) -> EntanglementReport:
-    """Average entanglement minus the EoF of the averaged state.
-
-    The gap is the entanglement recoverable with classical which-member
-    information alone; by convexity of the EoF it is nonnegative up to
-    roundoff.
-    """
-    c = concurrence_mixed(ensemble.density_matrix())
-    eof = eof_from_concurrence(c)
-    e_av = average_entanglement(ensemble)
-    return EntanglementReport(concurrence=c, eof=eof, e_av=e_av, e_hidden=e_av - eof)

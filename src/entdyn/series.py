@@ -39,7 +39,7 @@ class EntanglementSeries:
             if col.shape != (n,):
                 raise ValueError(f"column {name} has shape {col.shape}, expected ({n},)")
             object.__setattr__(self, name, col)
-        e_f = np.array([eof_from_concurrence(c) for c in self.concurrence])
+        e_f = eof_from_concurrence(self.concurrence)
         object.__setattr__(self, "e_f", e_f)
         object.__setattr__(self, "e_hidden", self.e_av - e_f)
 

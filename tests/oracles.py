@@ -9,23 +9,35 @@ indices rounded from the pulse times instead of the toggling step counts,
 Gaussians, OU paths and the coherence m(t) along the trajectory-major
 layout and complex exp-and-sum the Monte Carlo kernels replace, and the
 Monte Carlo measures via a stepwise propagator on each trajectory's
-state instead of the closed forms |m| C(v) and EoF(C(v)). The CSV column
-checksums are recomputed from the written file, not from the series.
+state instead of the closed forms |m| C(v) and EoF(C(v)), and the two
+scenarios point by point from matrix exponentials of their generators,
+with the Wootters lambdas as singular values of the members' spin-flip
+overlaps and Schmidt-coefficient entropies instead of the stacked
+measures. The CSV column checksums are recomputed from the written file,
+not from the series. The hidden-entanglement report of a single ensemble
+lives here too: only tests use it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from entdyn import noise, pulses
-from entdyn.linalg import SIGMA_X
+from entdyn.linalg import PHI_PLUS, SIGMA_X, SIGMA_Z
 from entdyn.mc import _phase_block
-from entdyn.measures import concurrence_mixed
+from entdyn.measures import (
+    WeightedEnsemble,
+    average_entanglement,
+    concurrence_mixed,
+    eof_from_concurrence,
+)
 from entdyn.noise import sample_block
+from entdyn.scenarios import RandomFieldScenario
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY)
@@ -40,6 +52,17 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     evals = np.linalg.eigvals(rho @ rho_tilde)
     lam = np.sort(np.sqrt(np.clip(evals.real, 0.0, None)))
     return float(max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4]))
+
+
+def takagi_concurrence(weighted: np.ndarray) -> float:
+    """Wootters concurrence of rho = W W^dag from the columns of W (4 x k).
+
+    The lambdas are the singular values of the symmetric k x k matrix
+    W^T (sy x sy) W, so no lambda is a square root of a roundoff-level
+    eigenvalue, as in `wootters_concurrence` on rank-deficient states.
+    """
+    lam = np.linalg.svd(weighted.T @ _SYSY @ weighted, compute_uv=False)
+    return float(max(0.0, lam[0] - np.sum(lam[1:])))
 
 
 def binary_entropy(x: float) -> float:
@@ -198,6 +221,78 @@ def _schmidt_entropy(psi: np.ndarray) -> np.ndarray:
     p = np.linalg.svd(psi.reshape(-1, 2, 2), compute_uv=False) ** 2
     logs = np.log2(np.where(p > 0.0, p, 1.0))
     return -(p * logs).sum(axis=1)
+
+
+@dataclass(frozen=True)
+class EntanglementReport:
+    """Entanglement of one ensemble: mixed-state measures plus the hidden gap."""
+
+    concurrence: float
+    eof: float
+    e_av: float
+    e_hidden: float
+
+
+def hidden_entanglement(ensemble: WeightedEnsemble) -> EntanglementReport:
+    """Average entanglement minus the EoF of the averaged state.
+
+    The gap is the entanglement recoverable with classical which-member
+    information alone; by convexity of the EoF it is nonnegative up to
+    roundoff.
+    """
+    c = concurrence_mixed(ensemble.density_matrix())
+    eof = eof_from_concurrence(c)
+    e_av = average_entanglement(ensemble)
+    return EntanglementReport(concurrence=c, eof=eof, e_av=e_av, e_hidden=e_av - eof)
+
+
+def _evolution(generator: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i generator t) from the eigensystem of the Hermitian generator."""
+    w, v = np.linalg.eigh(generator)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+def _exchange_generator(g: float) -> np.ndarray:
+    """(g/2)(s-_A a^dag + s+_A a) on A x B x O, the oscillator cut to {|0>, |1>}."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|: s- on a qubit, a on the mode
+    hop = np.kron(np.kron(lower, np.eye(2)), lower.T)
+    return 0.5 * g * (hop + hop.T)
+
+
+def scenario_series_pointwise(scenario) -> SimpleNamespace:
+    """Measures of a scenario point by point over its grid.
+
+    Random fields: the members are exp(-i G omega t / 2) x 1 applied to
+    |phi+> for G = sx, sz, each with weight 1/2. Exchange: the tripartite
+    state is exp(-i H t) (|000> + |110>)/sqrt(2) for the generator above; the
+    A-B state is its partial trace and the members are the A-B states left by
+    each oscillator number. C comes from `wootters_concurrence` of the
+    averaged state, E_av from the members' Schmidt coefficients.
+    """
+    times = scenario.grid.times
+    conc = np.empty(times.size)
+    e_av = np.empty(times.size)
+    if isinstance(scenario, RandomFieldScenario):
+        for j, t in enumerate(times):
+            members = [
+                np.kron(_evolution(0.5 * scenario.omega * gen, t), np.eye(2)) @ PHI_PLUS
+                for gen in (SIGMA_X, SIGMA_Z)
+            ]
+            conc[j] = takagi_concurrence(np.array(members).T * math.sqrt(0.5))
+            e_av[j] = 0.5 * _schmidt_entropy(np.array(members)).sum()
+    else:
+        initial = np.zeros(8, dtype=complex)
+        initial[[0, 6]] = 1.0 / math.sqrt(2.0)
+        generator = _exchange_generator(scenario.g)
+        for j, t in enumerate(times):
+            branches = (_evolution(generator, t) @ initial).reshape(4, 2)  # (A-B, oscillator)
+            conc[j] = takagi_concurrence(branches)
+            probs = np.sum(np.abs(branches) ** 2, axis=0)
+            live = probs > 1e-12
+            states = (branches[:, live] / np.sqrt(probs[live])).T
+            e_av[j] = probs[live] @ _schmidt_entropy(states)
+    e_f = np.array([eof_of_concurrence(c) for c in conc])
+    return SimpleNamespace(concurrence=conc, e_f=e_f, e_av=e_av, e_hidden=e_av - e_f)
 
 
 def propagator_series(config) -> SimpleNamespace:

@@ -21,7 +21,6 @@ from entdyn.measures import (
     concurrence_mixed,
     concurrence_pure,
     eof_from_concurrence,
-    hidden_entanglement,
 )
 from entdyn.noise import NoiseModel
 from entdyn.pulses import PulseProtocol
@@ -32,7 +31,7 @@ from entdyn.scenarios import (
     random_field_series,
 )
 from cli_command import run_entdyn
-from oracles import jc_closed_form, random_state
+from oracles import hidden_entanglement, jc_closed_form, random_state
 
 GRID = TimeGrid(8.0, 801)
 N_TRAJ = 100_000

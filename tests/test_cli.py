@@ -251,6 +251,34 @@ def test_ou_overflow_exits_3(tmp_path):
     assert not out.exists()
 
 
+MODE_ARGS = {
+    "mc": "--mode mc --noise static --sigma 1 --ntraj 64",
+    "analytic": "--mode analytic --noise ou --sigma 1 --tau 20",
+    "randomfield": "--mode randomfield --omega 1",
+    "jc": "--mode jc --g 1",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_ARGS))
+def test_points_above_cap_exits_2(tmp_path, capsys, mode):
+    out = tmp_path / "x.csv"
+    argv = [*MODE_ARGS[mode].split(), "--points", "1000000000", "-o", str(out)]
+    assert main(argv) == cli.EXIT_CONFIG
+    message = _one_line_error(capsys)
+    assert "points must be at most 1048576" in message and "1000000000" in message
+    assert not out.exists()
+    assert parse_config([*MODE_ARGS[mode].split(), "--points", str(cli.MAX_POINTS)]).grid.n_points == 2**20
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_ARGS))
+def test_no_cell_reads_negative_zero(tmp_path, mode):
+    # the default scenario grids hit the zero of the entanglement at t = pi
+    out = tmp_path / "x.csv"
+    assert main([*MODE_ARGS[mode].split(), "-o", str(out)]) == cli.EXIT_OK
+    cells = [cell for line in out.read_text().splitlines()[1:] for cell in line.split(",")]
+    assert "-0" not in cells and "0" in cells
+
+
 def test_pdd_below_grid_step_exits_2():
     args = "--mode analytic --noise static --sigma 1 --protocol pdd --dt-pulse 1e-12 --points 11"
     result = run_entdyn(args.split())

@@ -13,12 +13,13 @@ from entdyn.measures import (
     concurrence_pure,
     entropy_of_entanglement,
     eof_from_concurrence,
-    hidden_entanglement,
 )
 from oracles import (
     eof_of_concurrence,
+    hidden_entanglement,
     random_state,
     random_unitary,
+    takagi_concurrence,
     wootters_concurrence,
 )
 
@@ -228,3 +229,83 @@ def test_weighted_ensemble_validation():
 def test_weighted_ensemble_density_matrix():
     ens = WeightedEnsemble([(0.5, PHI_PLUS), (0.5, PHI_MINUS)])
     assert_allclose(ens.density_matrix(), np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
+
+
+def _random_stack(rng, count):
+    """(rho, W) stacks of random two-qubit states of rank 1-4, rho = W W^dag."""
+    rhos, factors = [], []
+    for k in range(count):
+        rank = 1 + k % 4
+        weights = rng.random(rank)
+        weights /= weights.sum()
+        w = np.zeros((4, 4), dtype=complex)
+        w[:, :rank] = np.array([random_state(rng) for _ in range(rank)]).T * np.sqrt(weights)
+        rhos.append(w @ w.conj().T)
+        factors.append(w)
+    return np.array(rhos), factors
+
+
+def test_concurrence_mixed_stack_equals_each_member():
+    rhos, factors = _random_stack(np.random.default_rng(47), 240)
+    stacked = concurrence_mixed(rhos)
+    assert stacked.shape == (240,)
+    single = np.array([concurrence_mixed(rho) for rho in rhos])
+    np.testing.assert_array_equal(stacked, single)
+    reference = np.array([takagi_concurrence(w) for w in factors])
+    assert np.max(np.abs(stacked - reference)) <= 1e-9
+    full_rank = slice(3, None, 4)  # the brute-force spectrum is only this exact at rank 4
+    brute = np.array([wootters_concurrence(rho) for rho in rhos[full_rank]])
+    assert np.max(np.abs(stacked[full_rank] - brute)) <= 1e-9
+    np.testing.assert_array_equal(concurrence_mixed(rhos.reshape(60, 4, 4, 4)), stacked.reshape(60, 4))
+
+
+def test_takagi_oracle_matches_bruteforce_at_full_rank():
+    rng = np.random.default_rng(53)
+    for _ in range(100):
+        w = np.array([random_state(rng) for _ in range(4)]).T * 0.5
+        assert takagi_concurrence(w) == pytest.approx(wootters_concurrence(w @ w.conj().T), abs=1e-9)
+
+
+def test_stacked_measures_equal_each_member():
+    rng = np.random.default_rng(59)
+    states = np.array([random_state(rng) for _ in range(64)])
+    np.testing.assert_array_equal(
+        entropy_of_entanglement(states), [entropy_of_entanglement(psi) for psi in states]
+    )
+    c = rng.random(64)
+    np.testing.assert_array_equal(eof_from_concurrence(c), [eof_from_concurrence(x) for x in c])
+    np.testing.assert_array_equal(binary_entropy(c), [binary_entropy(x) for x in c])
+
+
+def _bad_member(kind):
+    rho = 0.25 * np.eye(4, dtype=complex)
+    if kind == "hermitian":
+        rho[0, 1] = 1e-6
+    elif kind == "trace":
+        rho[0, 0] += 1e-6
+    elif kind == "eigenvalue":
+        rho = np.diag([0.5 + 1e-9, 0.5, 0.0, -1e-9]).astype(complex)
+    return rho
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "trace", "eigenvalue"])
+def test_stack_with_one_bad_member_raises_its_error(kind):
+    rhos, _ = _random_stack(np.random.default_rng(61), 16)
+    bad = _bad_member(kind)
+    with pytest.raises(ValueError) as alone:
+        concurrence_mixed(bad)
+    rhos[9] = bad
+    with pytest.raises(ValueError) as stacked:
+        concurrence_mixed(rhos)
+    assert str(stacked.value) == str(alone.value)
+    assert "\n" not in str(stacked.value)
+
+
+def test_concurrence_stack_with_one_member_above_one_raises_its_error():
+    c = np.linspace(0.0, 1.0, 16)
+    c[5] = 1.0 + 2e-9
+    with pytest.raises(ValueError) as alone:
+        eof_from_concurrence(c[5])
+    with pytest.raises(ValueError) as stacked:
+        eof_from_concurrence(c)
+    assert str(stacked.value) == str(alone.value)

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from entdyn import linalg, measures
 from entdyn.grid import TimeGrid
 from entdyn.linalg import PHI_MINUS, PHI_PLUS, PSI_PLUS, partial_trace, projector
 from entdyn.measures import (
@@ -20,7 +22,7 @@ from entdyn.scenarios import (
     random_field_ensemble,
     random_field_series,
 )
-from oracles import jc_closed_form
+from oracles import jc_closed_form, scenario_series_pointwise
 
 RF = RandomFieldScenario(omega=1.0, grid=TimeGrid(2.0 * math.pi, 401))
 JC = JCScenario(g=1.0, grid=TimeGrid(2.0 * math.pi, 401))
@@ -180,3 +182,51 @@ def test_scenario_validation():
         JCScenario(g=-1.0, grid=JC.grid)
     with pytest.raises(ValueError):
         jc_state(JC, -0.1)
+
+
+SCENARIOS = {
+    "randomfield": (RandomFieldScenario, random_field_series, 1.0),
+    "jc": (JCScenario, jc_measures, 1.0),
+}
+
+
+@pytest.mark.parametrize("points", [401, 4097])  # 4097 crosses a block edge
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_stacked_series_match_pointwise_oracle(name, points):
+    build, series_of, rate = SCENARIOS[name]
+    scenario = build(rate, TimeGrid(2.0 * math.pi, points))
+    series = series_of(scenario)
+    reference = scenario_series_pointwise(scenario)
+    for column in ("concurrence", "e_f", "e_av", "e_hidden"):
+        assert np.max(np.abs(getattr(series, column) - getattr(reference, column))) <= 1e-12, column
+
+
+def _count_calls(monkeypatch, module, attr):
+    """Wrap ``module.attr`` and every package-level name bound to it; return the call list."""
+    target = getattr(module, attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return target(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "entdyn" or name.startswith("entdyn."):
+            for key, value in list(vars(mod).items()):
+                if value is target:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_measures_run_once_per_block(monkeypatch, name):
+    wootters = _count_calls(monkeypatch, measures, "concurrence_mixed")
+    eigen = _count_calls(monkeypatch, linalg, "hermitian_eigen")
+    entropy = _count_calls(monkeypatch, measures, "entropy_of_entanglement")
+    eof = _count_calls(monkeypatch, measures, "eof_from_concurrence")
+    build, series_of, rate = SCENARIOS[name]
+    series_of(build(rate, TimeGrid(2.0 * math.pi, 4097)))
+    assert wootters == [(4096, 4, 4), (1, 4, 4)]
+    assert eigen == [(4096, 4, 4), (1, 4, 4)]
+    assert entropy == [(4096, 2, 4), (1, 2, 4)]
+    assert eof == [(4097,)]
