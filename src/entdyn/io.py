@@ -8,6 +8,7 @@ strings joined by newlines, so they can be recomputed from the CSV alone.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ import numpy as np
 from .series import EntanglementSeries
 
 MEASURE_COLUMNS = ("concurrence", "e_f", "e_av", "e_hidden")
+_CSV_ROWS = 4096  # rows formatted, written and hashed at a time
 
 
 def format_column(values) -> list[str]:
@@ -25,22 +27,25 @@ def format_column(values) -> list[str]:
     return [f"{v:.12g}" for v in np.asarray(values, dtype=float).tolist()]
 
 
-def series_columns(series: EntanglementSeries, x_values=None) -> dict[str, list[str]]:
-    """Ordered mapping of column name to formatted cells."""
-    columns: dict[str, list[str]] = {"t": format_column(series.times)}
+def series_columns(series: EntanglementSeries, x_values=None) -> dict[str, np.ndarray]:
+    """Ordered mapping of column name to its float values."""
+    columns = {"t": series.times}
     if x_values is not None:
-        columns["x"] = format_column(x_values)
+        columns["x"] = x_values
     for name in MEASURE_COLUMNS:
-        columns[name] = format_column(getattr(series, name))
-    return columns
+        columns[name] = getattr(series, name)
+    return {name: np.asarray(values, dtype=float) for name, values in columns.items()}
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text handle (LF endings) on a temp file beside ``path``, renamed
+    onto it when the block ends; the temp file is removed on any error."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -49,15 +54,25 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def write_series_csv(path: str, series: EntanglementSeries, x_values=None) -> dict[str, str]:
-    """Write the series; returns the per-column SHA-256 checksums."""
+    """Write the series; returns the per-column SHA-256 checksums.
+
+    Cells are formatted, written and hashed _CSV_ROWS rows at a time, so the
+    memory beyond the series is one block of cell strings.
+    """
     columns = series_columns(series, x_values)
-    names = list(columns)
-    lines = [",".join(names)]
-    for row in zip(*columns.values()):
-        lines.append(",".join(row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
-    return {name: hashlib.sha256("\n".join(cells).encode()).hexdigest() for name, cells in columns.items()}
+    hashes = {name: hashlib.sha256() for name in columns}
+    with _atomic_open(path) as handle:
+        handle.write(",".join(columns) + "\n")
+        for start in range(0, len(columns["t"]), _CSV_ROWS):
+            cells = {name: format_column(col[start : start + _CSV_ROWS]) for name, col in columns.items()}
+            handle.write("".join(",".join(row) + "\n" for row in zip(*cells.values())))
+            for name, column in cells.items():  # a checksum hashes the cells joined by newlines
+                if start:
+                    hashes[name].update(b"\n")
+                hashes[name].update("\n".join(column).encode())
+    return {name: digest.hexdigest() for name, digest in hashes.items()}
 
 
 def write_manifest(path: str, manifest: dict) -> None:
-    _atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as handle:
+        handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -58,9 +58,10 @@ def check_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return m
 
 
-def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
+def check_density_matrix(rho, dim: int | None = None, eigenvalues=None) -> np.ndarray:
     """Validate density matrices, shape (..., d, d): Hermitian, unit trace,
-    eigenvalues >= -1e-10."""
+    eigenvalues >= -1e-10. A caller that has already decomposed rho passes
+    its ``eigenvalues``; otherwise they are computed here."""
     rho = check_hermitian(rho)
     if dim is not None and rho.shape[-1] != dim:
         raise ValueError(f"density matrix has dimension {rho.shape[-1]}, expected {dim}")
@@ -68,7 +69,9 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     dev = np.abs(tr - 1.0)
     if np.any(dev > TRACE_TOL):
         raise ValueError(f"density matrix trace is {complex(_worst(tr, dev))!r}, expected 1")
-    w_min = float(np.min(np.linalg.eigvalsh(rho), initial=np.inf))
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(rho)
+    w_min = float(np.min(eigenvalues, initial=np.inf))
     if w_min < EIG_FLOOR:
         raise ValueError(f"density matrix has eigenvalue {w_min:.3e} < {EIG_FLOOR}")
     return rho
@@ -128,8 +131,9 @@ def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
 def von_neumann_entropy(rho):
     """-sum(lambda log2 lambda) in bits, with 0 log 0 = 0, per matrix of a
     stack (..., d, d)."""
-    rho = check_density_matrix(rho)
-    w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    w = np.linalg.eigvalsh(check_hermitian(rho))
+    check_density_matrix(rho, eigenvalues=w)
+    w = np.clip(w, 0.0, None)
     kept = w > 1e-18
     terms = np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0)
     # + 0.0 turns the -0.0 of a pure state into 0.0

@@ -13,14 +13,17 @@ kernel its structure allows:
   |s_j| = q w + r, exp(i x |s|) = exp(i x r) exp(i x q w), so each batch's
   sum over trajectories is one product of two small exp tables, from which
   every m(t_j) is gathered (conjugated where s_j >= 0). No per-point phase
-  is formed.
+  is formed. The tables are real cos and sin tables in buffers that each
+  worker thread keeps from batch to batch.
 - OU noise: one pass along the time axis, _ROWS grid rows at a time. Each
   chunk hashes its counters into Gaussians, continues the OU recursion from
   the row before (`noise.ou_chunk`), continues the phase segments from the
   carried segment state (`_phase_block`) and takes real cos and sin sums
-  over each row. No (n_points, batch) array is formed: the memory per batch
-  is O(batch x _ROWS), whatever the number of grid points, and every value
-  is the one a single whole-grid pass gives, bit for bit.
+  over each row. Every chunk is drawn into the same two (_ROWS, batch)
+  buffers, small enough to stay in cache, and no (n_points, batch) array is
+  formed: the memory per batch is O(batch x _ROWS), whatever the number of
+  grid points, and every value is the one a single whole-grid pass gives,
+  bit for bit.
 
 Both kernels take cos and sin from one tangent of the half angle
 (`noise._half_angle`): with t = tan(phi/2) and w = 2 / (1 + t^2),
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -60,7 +64,7 @@ from .series import EntanglementSeries
 
 WORKERS_ENV = "ENTDYN_WORKERS"
 _BATCH = 8192
-_ROWS = 64  # time rows per chunk of the OU pass; even, as gaussian_block needs
+_ROWS = 8  # time rows per chunk of the OU pass; even, as gaussian_block needs
 
 
 @dataclass
@@ -149,10 +153,15 @@ def _ou_sums(run: DephasingRun, keys: np.ndarray, steps: np.ndarray) -> np.ndarr
     sums = np.empty(grid.n_points, dtype=complex)
     last = np.empty(keys.size)
     carry = _PhaseCarry(keys.size)
-    weights = np.empty((min(_ROWS, grid.n_points), keys.size))
+    # Every chunk is drawn into these two buffers (weights is the Gaussians'
+    # scratch until the reduction needs it), with an even row count for the
+    # Box-Muller pairs of gaussian_block.
+    rows = min(_ROWS, 2 * ((grid.n_points + 1) // 2))
+    chunk = np.empty((rows, keys.size))
+    weights = np.empty((rows, keys.size))
     for start in range(0, grid.n_points, _ROWS):
         stop = min(start + _ROWS, grid.n_points)
-        eps = ou_chunk(run.noise, keys, grid, start, stop - start, last)
+        eps = ou_chunk(run.noise, keys, grid, start, stop - start, last, chunk, weights)
         eps -= run.omega_a
         _phase_block(eps, grid, steps, carry)  # in place: eps is phi now
         eps *= 0.5
@@ -161,30 +170,31 @@ def _ou_sums(run: DephasingRun, keys: np.ndarray, steps: np.ndarray) -> np.ndarr
         sums.real[start:stop] = w.sum(axis=1) - keys.size
         eps *= w
         sums.imag[start:stop] = -eps.sum(axis=1)
-        del eps  # drop this chunk before the next is drawn
     return sums
 
 
-def _static_table(x: np.ndarray, width: int, height: int) -> np.ndarray:
+def _static_table(x: np.ndarray, width: int, height: int, tables: list) -> np.ndarray:
     """T[r, q] = sum_k exp(i x_k (q width + r)), shape (width, height).
 
     A static realization's phase is rank 1, phi_k(t_j) = x_k s_j, so the
     ensemble sum at any step count a = q width + r is one product of two
-    small tables of exp(i x_k r) and exp(i x_k q width).
+    small tables of exp(i x_k r) and exp(i x_k q width), taken here as real
+    cos and sin tables: T = (Ca^T Cb - Sa^T Sb) + i (Ca^T Sb + Sa^T Cb).
+    ``tables`` holds the four float buffers [Ca, Sa, Cb, Sb], of shapes
+    (>= len(x), width) and (>= len(x), height); their leading rows are
+    overwritten.
     """
-
+    ca, sa, cb, sb = (table[: x.size] for table in tables)
     half_x = 0.5 * x
-
-    def exp_table(counts):
-        t = np.multiply.outer(half_x, counts)
-        table = np.empty(t.shape, dtype=complex)
-        w = table.real
-        _half_angle(t, w)
-        np.multiply(t, w, out=table.imag)
-        w -= 1.0
-        return table
-
-    return exp_table(np.arange(width)).T @ exp_table(width * np.arange(height))
+    for cos, sin, counts in ((ca, sa, np.arange(width)), (cb, sb, width * np.arange(height))):
+        np.multiply.outer(half_x, counts, out=sin)
+        _half_angle(sin, cos)  # sin holds tan(x a / 2), cos the weight w
+        sin *= cos
+        cos -= 1.0
+    total = np.empty((width, height), dtype=complex)
+    total.real = ca.T @ cb - sa.T @ sb
+    total.imag = ca.T @ sb + sa.T @ cb
+    return total
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -222,12 +232,19 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
     width = math.isqrt(int(counts.max())) + 1
     height = int(counts.max()) // width + 1
 
+    # Each worker thread keeps its static tables across its batches, so
+    # their pages are faulted in once; no two running batches share them.
+    worker = threading.local()
+
     def one_batch(bounds):
         indices = np.arange(*bounds)
         with np.errstate(over="ignore", invalid="ignore"):  # run() checks m(t)
             if static:
+                if not hasattr(worker, "tables"):
+                    rows = min(_BATCH, run.n_traj)
+                    worker.tables = [np.empty((rows, n)) for n in (width, width, height, height)]
                 eps = sample_block(run.noise, run.master_seed, indices, run.grid)
-                return _static_table(run.grid.dt * (eps[:, 0] - run.omega_a), width, height)
+                return _static_table(run.grid.dt * (eps[:, 0] - run.omega_a), width, height, worker.tables)
             return _ou_sums(run, trajectory_seed(run.master_seed, indices), steps)
 
     partial = _map_batches(one_batch, run.n_traj, resolve_workers(workers))

@@ -80,9 +80,9 @@ def concurrence_mixed(rho):
     states. The dropped eigenfactor columns are zeroed, which keeps every
     member of a stack at 4 x 4 and adds zero lambdas only.
     """
-    rho = check_density_matrix(rho, dim=4)
-    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     w, v = hermitian_eigen(rho)
+    rho = check_density_matrix(rho, dim=4, eigenvalues=w)  # one eigensolve for both
+    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     keep = w > 1e-12 * w[..., :1]
     factor = v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
     lam_sq = np.linalg.eigvalsh(factor.conj().swapaxes(-1, -2) @ rho_tilde @ factor)

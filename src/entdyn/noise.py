@@ -78,13 +78,14 @@ def power_spectrum(model: NoiseModel, omega):
     return float(out) if out.ndim == 0 else out
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
+def _mix64(z: np.ndarray, shifted: np.ndarray | None = None) -> np.ndarray:
     """splitmix64 finalizer, in place: a bijective 64-bit hash over uint64.
 
     Multiplications wrap mod 2^64 by design; inputs are arrays (0-d included)
-    so numpy performs the wrap silently.
+    so numpy performs the wrap silently. ``shifted`` is an optional uint64
+    scratch array of z's shape.
     """
-    shifted = np.empty_like(z)
+    shifted = np.empty_like(z) if shifted is None else shifted
     for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
         z ^= np.right_shift(z, _U64(shift), out=shifted)
         z *= mix
@@ -104,18 +105,27 @@ def trajectory_seed(master_seed: int, index) -> np.ndarray:
     return keys.reshape(index.shape)
 
 
-def _uniforms(keys: np.ndarray, count: int, start: int) -> np.ndarray:
+def _uniforms(keys: np.ndarray, count: int, start: int, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """Open-below uniforms in (0, 1], shape (count, len(keys)): row c holds
-    counter start + c of every stream. Hashed a few rows at a time, so the
-    uint64 temporaries stay small and in cache."""
-    u = np.empty((count, keys.size))
-    for c in range(0, count, _HASH_ROWS):
-        stop = min(c + _HASH_ROWS, count)
-        counters = np.arange(start + c + 1, start + stop + 1, dtype=np.uint64)
-        bits = _mix64(counters[:, None] * _GOLDEN + keys)
+    counter start + c of every stream, written into ``out`` when given
+    (float64, that shape). Hashed a few rows at a time in the leading rows of
+    ``scratch`` (float64, len(keys) columns) or of a new array of up to
+    _HASH_ROWS rows, with the output rows as the hash's other temporary, so
+    the temporaries stay small and in cache."""
+    u = np.empty((count, keys.size)) if out is None else out
+    if scratch is None:
+        scratch = np.empty((min(count, _HASH_ROWS), keys.size))
+    rows = max(1, min(count, _HASH_ROWS, len(scratch)))
+    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64) * _GOLDEN
+    for c in range(0, count, rows):
+        block = u[c : c + rows]
+        bits = scratch[: len(block)].view(np.uint64)
+        np.add(counters[c : c + rows, None], keys, out=bits)
+        _mix64(bits, block.view(np.uint64))
         bits >>= _U64(11)
-        np.add(bits, 1.0, out=u[c:stop])
-        u[c:stop] *= _TWO_NEG53
+        np.add(bits, 1.0, out=block)
+        block *= _TWO_NEG53
     return u
 
 
@@ -134,7 +144,8 @@ def _half_angle(h: np.ndarray, w: np.ndarray) -> None:
     np.divide(2.0, w, out=w)
 
 
-def gaussian_block(keys, count: int, start: int = 0) -> np.ndarray:
+def gaussian_block(keys, count: int, start: int = 0, out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Standard normals start .. start + count - 1 of each stream, shape
     (len(keys), count), by Box-Muller per stream.
 
@@ -143,17 +154,24 @@ def gaussian_block(keys, count: int, start: int = 0) -> np.ndarray:
     block, bit for bit. The result is the transpose of a C-ordered
     (count, len(keys)) array, so its ``.T`` is time-major: each row holds one
     counter of every stream, contiguously.
+
+    Buffers a caller reuses from block to block, all C-ordered float64 with
+    len(keys) columns; the values are the same with or without them:
+    ``out`` (at least count rows rounded up to even) takes the values in its
+    leading rows, and the result is a view of it; ``scratch`` (at least half
+    as many rows) is overwritten by the hash and Box-Muller temporaries.
     """
     if start % 2:
         raise ValueError(f"start must be even, got {start!r}")
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    z = _uniforms(keys, 2 * ((count + 1) // 2), start)
+    pairs = 2 * ((count + 1) // 2)
+    z = _uniforms(keys, pairs, start, None if out is None else out[:pairs], scratch)
     r, t = z[0::2], z[1::2]  # in place: z -> (r cos 2 pi u, r sin 2 pi u)
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
     t *= np.pi
-    w = np.empty_like(t)
+    w = np.empty_like(t) if scratch is None else scratch[: len(t)]
     _half_angle(t, w)
     t *= w
     t *= r
@@ -168,19 +186,21 @@ def _static_block(model: NoiseModel, keys) -> np.ndarray:
 
 
 def ou_chunk(model: NoiseModel, keys, grid: TimeGrid, start: int, count: int,
-             last: np.ndarray) -> np.ndarray:
+             last: np.ndarray, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
     """Stationary OU paths at grid rows start .. start + count - 1, time-major:
     shape (count, len(keys)), exact discretization.
 
     eps_0 ~ N(0, sigma^2); eps_{j+1} = alpha eps_j + sigma sqrt(1 - alpha^2) z,
     alpha = exp(-dt/tau). Exact in distribution at the grid points, so there
     is no time-step bias. The recursion runs in place over the contiguous
-    rows of a fresh `gaussian_block` (``start`` even). It continues from
-    ``last``, the paths at row start - 1 (unused at start 0), and leaves this
-    chunk's last row there, so consecutive chunks give the rows of one block
-    bit for bit while the caller reuses or overwrites each chunk.
+    rows of a `gaussian_block` (``start`` even; ``out`` and ``scratch`` as
+    there). It continues from ``last``, the paths at row start - 1 (unused at
+    start 0), and leaves this chunk's last row there, so consecutive chunks
+    give the rows of one block bit for bit while the caller reuses or
+    overwrites each chunk.
     """
-    eps = gaussian_block(keys, count, start).T
+    eps = gaussian_block(keys, count, start, out, scratch).T
     alpha = math.exp(-grid.dt / model.tau)
     q = model.sigma * math.sqrt(max(0.0, 1.0 - alpha * alpha))
     carried = np.empty_like(last)

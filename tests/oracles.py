@@ -14,7 +14,8 @@ scenarios point by point from matrix exponentials of their generators,
 with the Wootters lambdas as singular values of the members' spin-flip
 overlaps and Schmidt-coefficient entropies instead of the stacked
 measures. The CSV column checksums are recomputed from the written file,
-not from the series. The hidden-entanglement report of a single ensemble
+not from the series, and the CSV is also formatted in one piece beside the
+writer's row blocks. The hidden-entanglement report of a single ensemble
 lives here too: only tests use it.
 """
 
@@ -371,6 +372,20 @@ def coherence_reference(config, batch: int = 8192) -> np.ndarray:
         phi = _phase_block(np.ascontiguousarray(eps.T), grid, steps)
         total += np.exp(-1j * phi).sum(axis=1)
     return total / config.n_traj
+
+
+def series_csv_oneshot(series, x_values=None) -> tuple[str, dict[str, str]]:
+    """The CSV text and column checksums of a series, formatted and joined
+    in one piece: every cell string of every column held at once."""
+    columns = {"t": series.times}
+    if x_values is not None:
+        columns["x"] = x_values
+    for name in ("concurrence", "e_f", "e_av", "e_hidden"):
+        columns[name] = getattr(series, name)
+    cells = {name: [f"{v:.12g}" for v in np.asarray(col, dtype=float).tolist()] for name, col in columns.items()}
+    text = "\n".join([",".join(cells)] + [",".join(row) for row in zip(*cells.values())]) + "\n"
+    checksums = {name: hashlib.sha256("\n".join(col).encode()).hexdigest() for name, col in cells.items()}
+    return text, checksums
 
 
 def column_checksums_from_csv(path: str) -> dict[str, str]:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -140,6 +141,36 @@ def test_ou_memory_does_not_grow_with_grid_points(n_points):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n_points", [801, 3201])
+def test_ou_working_set_fits_in_cache_sized_chunks(n_points):
+    # 8-row chunks drawn into two reused (8, 8192) buffers: ~2 MiB traced
+    # for two batches, and no chunk-sized temporary.
+    cfg = DephasingRun(OU20, ECHO4, TimeGrid(8.0, n_points), 16_384, 181)
+    tracemalloc.start()
+    try:
+        coherence_series(cfg, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_static_tables_kept_per_worker_leave_bytes_unchanged():
+    # Four full batches and a 5-trajectory tail: with 2 and 4 workers a
+    # worker's reused tables hold a full batch's values when the tail
+    # overwrites their leading rows.
+    # A short switch interval interleaves the worker threads' batches.
+    cfg = DephasingRun(STATIC, ECHO4, GRID, 4 * 8192 + 5, 191, omega_a=0.3)
+    m1 = coherence_series(cfg, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 4):
+            assert coherence_series(cfg, workers=workers).tobytes() == m1.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_half_angle_matches_libm_cos_sin():

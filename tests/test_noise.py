@@ -138,6 +138,22 @@ def test_time_major_gaussians_match_stream_by_stream(count):
     assert np.array_equal(block.T, gaussian_rows(keys, count).T)
 
 
+@pytest.mark.parametrize(
+    "count, start, scratch_rows", [(1, 0, 1), (8, 0, 8), (8, 0, 4), (7, 792, 4), (8, 800, 8)]
+)
+def test_gaussian_block_into_reused_buffers_is_bit_identical(count, start, scratch_rows):
+    # Buffers reused from block to block, as the Monte Carlo's OU pass does:
+    # stale contents and spare rows must not reach the values, and a scratch
+    # of half the rows hashes in smaller blocks.
+    keys = trajectory_seed(577, np.arange(3000))
+    out = np.full((8, keys.size), np.nan)
+    scratch = np.full((scratch_rows, keys.size), np.inf)
+    block = gaussian_block(keys, count, start, out=out, scratch=scratch)
+    assert np.shares_memory(block, out)
+    assert np.array_equal(block, gaussian_block(keys, count, start))
+    assert np.array_equal(gaussian_block(keys, count, start, out=out), gaussian_block(keys, count, start))
+
+
 def test_box_muller_matches_textbook_trig():
     # The half-angle kernel against r cos(2 pi u), r sin(2 pi u) from libm.
     keys = trajectory_seed(3141, np.arange(3000))
