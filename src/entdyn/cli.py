@@ -12,15 +12,15 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .filters import ANALYTIC_ENGINES, NumericalError, analytic_series
 from .grid import TimeGrid
 from .io import write_manifest, write_series_csv
 from .mc import DephasingRun, resolve_workers, run
-from .noise import NoiseModel
-from .pulses import PulseProtocol, toggling_steps
+from .noise import ORNSTEIN_UHLENBECK, STATIC, NoiseModel
+from .pulses import ECHO, FREE, PDD, PulseProtocol, toggling_steps
 from .scenarios import JCScenario, RandomFieldScenario, jc_measures, random_field_series
 
 EXIT_OK = 0
@@ -33,6 +33,28 @@ MODES = ("mc", "analytic", "randomfield", "jc")
 _DEFAULT_NTRAJ = 100_000
 MAX_POINTS = 2**20  # grid points; larger grids are refused before any array is built
 _DEFAULT_SEED = 1
+
+# Every setting, as a flag (underscores become dashes) and as a config-file
+# key: its type, its allowed values (None: any) and its --help text.
+_FIELDS = {
+    "mode": (str, MODES, None),
+    "noise": (str, (STATIC, ORNSTEIN_UHLENBECK), None),
+    "sigma": (float, None, "noise standard deviation (angular frequency)"),
+    "tau": (float, None, "noise correlation time (OU only)"),
+    "protocol": (str, (FREE, ECHO, PDD), None),
+    "tbar": (float, None, "echo pulse time"),
+    "dt_pulse": (float, None, "pulse spacing for pdd"),
+    "tmax": (float, None, "grid horizon"),
+    "points": (int, None, "number of grid points"),
+    "ntraj": (int, None, "Monte Carlo trajectories (mc mode)"),
+    "seed": (int, None, "64-bit master seed (mc mode)"),
+    "omega": (float, None, "rotation rate (randomfield mode)"),
+    "g": (float, None, "exchange coupling (jc mode)"),
+    "output": (str, None, "output CSV path (manifest goes beside it)"),
+}
+
+# The field a noise or protocol kind needs (static noise and free evolution need none).
+_KIND_NEEDS = {ORNSTEIN_UHLENBECK: "tau", ECHO: "tbar", PDD: "dt_pulse"}
 
 
 class ConfigError(ValueError):
@@ -59,22 +81,13 @@ class RunConfig:
             "points": self.grid.n_points,
             "output": self.output_path,
         }
-        if self.noise is not None:
-            flat["noise"] = self.noise.kind
-            flat["sigma"] = self.noise.sigma
-            if self.noise.tau is not None:
-                flat["tau"] = self.noise.tau
-        if self.protocol is not None:
-            flat["protocol"] = self.protocol.kind
-            if self.protocol.tbar is not None:
-                flat["tbar"] = self.protocol.tbar
-            if self.protocol.dt_pulse is not None:
-                flat["dt_pulse"] = self.protocol.dt_pulse
-        for key in ("n_traj", "master_seed", "omega", "g"):
-            value = getattr(self, key)
-            if value is not None:
-                flat["ntraj" if key == "n_traj" else "seed" if key == "master_seed" else key] = value
-        return flat
+        for name, model in (("noise", self.noise), ("protocol", self.protocol)):
+            if model is not None:
+                fields = asdict(model)
+                flat[name] = fields.pop("kind")
+                flat.update(fields)
+        flat.update(ntraj=self.n_traj, seed=self.master_seed, omega=self.omega, g=self.g)
+        return {key: value for key, value in flat.items() if value is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,37 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-qubit entanglement dynamics under local noise and local pulses",
     )
     parser.add_argument("--config", help="flat key = value config file; flags override it")
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--noise", choices=("static", "ou"))
-    parser.add_argument("--sigma", type=float, help="noise standard deviation (angular frequency)")
-    parser.add_argument("--tau", type=float, help="noise correlation time (OU only)")
-    parser.add_argument("--protocol", choices=("free", "echo", "pdd"))
-    parser.add_argument("--tbar", type=float, help="echo pulse time")
-    parser.add_argument("--dt-pulse", type=float, help="pulse spacing for pdd")
-    parser.add_argument("--tmax", type=float, help="grid horizon")
-    parser.add_argument("--points", type=int, help="number of grid points")
-    parser.add_argument("--ntraj", type=int, help="Monte Carlo trajectories (mc mode)")
-    parser.add_argument("--seed", type=int, help="64-bit master seed (mc mode)")
-    parser.add_argument("--omega", type=float, help="rotation rate (randomfield mode)")
-    parser.add_argument("--g", type=float, help="exchange coupling (jc mode)")
-    parser.add_argument("--output", "-o", help="output CSV path (manifest goes beside it)")
+    for key, (kind, choices, help_text) in _FIELDS.items():
+        flags = ["--" + key.replace("_", "-")] + (["-o"] if key == "output" else [])
+        parser.add_argument(*flags, type=kind, choices=choices, help=help_text)
     return parser
-
-
-_FILE_KEYS = {
-    "mode": str, "noise": str, "protocol": str, "output": str,
-    "sigma": float, "tau": float, "tbar": float, "dt_pulse": float,
-    "tmax": float, "omega": float, "g": float,
-    "points": int, "ntraj": int, "seed": int,
-}
 
 
 def _read_config_file(path: str) -> dict:
     values: dict = {}
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -122,12 +116,16 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _FILE_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        kind, choices, _ = _FIELDS[key]
         try:
-            values[key] = _FILE_KEYS[key](value)
+            values[key] = kind(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
+        if choices is not None and values[key] not in choices:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r} "
+                              f"(choose from {', '.join(choices)})")
     return values
 
 
@@ -137,50 +135,30 @@ def _require(values: dict, key: str, mode: str):
     return values[key]
 
 
-def _build_noise(values: dict, mode: str) -> NoiseModel:
-    kind = _require(values, "noise", mode)
-    sigma = float(_require(values, "sigma", mode))
+def _model(cls, name: str, kind: str, values: dict, **fields):
+    """``cls(kind, **fields)`` plus the field that ``kind`` needs, if any."""
+    need = _KIND_NEEDS.get(kind)
+    if need is not None:
+        if values.get(need) is None:
+            raise ConfigError(f"{kind} {name} requires {need!r}")
+        fields[need] = values[need]
     try:
-        if kind == "static":
-            return NoiseModel.static(sigma)
-        if values.get("tau") is None:
-            raise ConfigError("ou noise requires 'tau'")
-        return NoiseModel.ou(sigma, float(values["tau"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_protocol(values: dict) -> PulseProtocol:
-    kind = values.get("protocol") or "free"
-    try:
-        if kind == "free":
-            return PulseProtocol.free()
-        if kind == "echo":
-            if values.get("tbar") is None:
-                raise ConfigError("echo protocol requires 'tbar'")
-            return PulseProtocol.echo(float(values["tbar"]))
-        if values.get("dt_pulse") is None:
-            raise ConfigError("pdd protocol requires 'dt_pulse'")
-        return PulseProtocol.pdd(float(values["dt_pulse"]))
+        return cls(kind, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def parse_config(argv=None) -> RunConfig:
     """Resolve flags plus optional config file into a validated RunConfig."""
-    args = _build_parser().parse_args(argv)
-    values = _read_config_file(args.config) if args.config else {}
-    for key in _FILE_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    flags = vars(_build_parser().parse_args(argv))
+    config_path = flags.pop("config")
+    values = _read_config_file(config_path) if config_path else {}
+    values.update((key, flag) for key, flag in flags.items() if flag is not None)
 
     mode = values.get("mode")
     if mode is None:
         raise ConfigError("missing required field 'mode'")
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
-    for key, kind in _FILE_KEYS.items():
+    for key, (kind, _, _) in _FIELDS.items():
         if kind is float and key in values and not math.isfinite(values[key]):
             raise ConfigError(f"{key} must be finite, got {values[key]!r}")
     try:
@@ -188,86 +166,64 @@ def parse_config(argv=None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    noise = protocol = None
-    omega = g = None
-    n_traj = master_seed = None
+    fields: dict = {}  # the RunConfig fields this mode sets
     if mode in ("mc", "analytic"):
-        noise = _build_noise(values, mode)
-        protocol = _build_protocol(values)
+        noise = fields["noise"] = _model(NoiseModel, "noise", _require(values, "noise", mode), values,
+                                         sigma=_require(values, "sigma", mode))
+        fields["protocol"] = _model(PulseProtocol, "protocol", values.get("protocol", FREE), values)
         default_tmax, default_points = 8.0 / noise.sigma, 801
         if mode == "mc":
-            n_traj = int(values.get("ntraj", _DEFAULT_NTRAJ))
-            master_seed = int(values.get("seed", _DEFAULT_SEED))
+            n_traj = fields["n_traj"] = values.get("ntraj", _DEFAULT_NTRAJ)
+            fields["master_seed"] = values.get("seed", _DEFAULT_SEED)
             if n_traj < 1:
                 raise ConfigError(f"ntraj must be >= 1, got {n_traj}")
-    elif mode == "randomfield":
-        omega = float(values.get("omega", 1.0))
-        if not omega > 0.0:
-            raise ConfigError(f"omega must be positive, got {omega}")
-        default_tmax, default_points = 2.0 * math.pi / omega, 401
-    else:
-        g = float(values.get("g", 1.0))
-        if not g > 0.0:
-            raise ConfigError(f"g must be positive, got {g}")
-        default_tmax, default_points = 2.0 * math.pi / g, 401
+    else:  # randomfield and jc: one rotation rate, omega or g
+        key = "omega" if mode == "randomfield" else "g"
+        rate = fields[key] = values.get(key, 1.0)
+        if not rate > 0.0:
+            raise ConfigError(f"{key} must be positive, got {rate}")
+        default_tmax, default_points = 2.0 * math.pi / rate, 401
 
-    points = int(values.get("points", default_points))
+    points = values.get("points", default_points)
     if points > MAX_POINTS:
         raise ConfigError(f"points must be at most {MAX_POINTS} (2^20), got {points}")
     try:
-        grid = TimeGrid(float(values.get("tmax", default_tmax)), points)
+        grid = TimeGrid(values.get("tmax", default_tmax), points)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if protocol is not None:
+    if "protocol" in fields:
         try:
-            toggling_steps(protocol, grid)
+            toggling_steps(fields["protocol"], grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    output = values.get("output") or f"{mode}.csv"
-    return RunConfig(
-        mode=mode, grid=grid, output_path=output, noise=noise, protocol=protocol,
-        n_traj=n_traj, master_seed=master_seed, omega=omega, g=g,
-    )
+    return RunConfig(mode=mode, grid=grid, output_path=values.get("output") or f"{mode}.csv", **fields)
 
 
 def execute(config: RunConfig) -> None:
     """Run the configured engine and write CSV plus manifest atomically."""
     start = time.perf_counter()
-    x_name = workers = None
-    if config.mode == "mc":
-        workers = resolve_workers(None)
-        series = run(DephasingRun(
-            noise=config.noise, protocol=config.protocol, grid=config.grid,
-            n_traj=config.n_traj, master_seed=config.master_seed,
-        ), workers)
-        x_name = "sigma_t"
-        x_values = config.noise.sigma * series.times
-    elif config.mode == "analytic":
-        series = analytic_series(config.noise, config.protocol, config.grid)
-        x_name = "sigma_t"
-        x_values = config.noise.sigma * series.times
-    elif config.mode == "randomfield":
+    manifest = {"tool": "entdyn", "version": __version__, "config": config.settings()}
+    x_name = scale = None
+    if config.mode == "randomfield":
         series = random_field_series(RandomFieldScenario(config.omega, config.grid))
-        x_values = None
-    else:
+    elif config.mode == "jc":
         series = jc_measures(JCScenario(config.g, config.grid))
-        x_name = "g_t"
-        x_values = config.g * series.times
+        x_name, scale = "g_t", config.g
+    else:
+        x_name, scale = "sigma_t", config.noise.sigma
+        if config.mode == "mc":
+            manifest["workers"] = resolve_workers(None)
+            series = run(DephasingRun(
+                noise=config.noise, protocol=config.protocol, grid=config.grid,
+                n_traj=config.n_traj, master_seed=config.master_seed,
+            ), manifest["workers"])
+        else:
+            manifest["engine"] = ANALYTIC_ENGINES[config.noise.kind]
+            series = analytic_series(config.noise, config.protocol, config.grid)
 
-    checksums = write_series_csv(config.output_path, series, x_values)
-    manifest = {
-        "tool": "entdyn",
-        "version": __version__,
-        "config": config.settings(),
-        "duration_seconds": time.perf_counter() - start,
-        "columns": checksums,
-        "x_column": x_name,
-    }
-    if config.mode == "analytic":
-        manifest["engine"] = ANALYTIC_ENGINES[config.noise.kind]
-    if workers is not None:
-        manifest["workers"] = workers
+    x_values = None if scale is None else scale * series.times
+    manifest.update(x_column=x_name, columns=write_series_csv(config.output_path, series, x_values))
+    manifest["duration_seconds"] = time.perf_counter() - start
     write_manifest(config.output_path + ".manifest.json", manifest)
 
 
@@ -283,7 +239,7 @@ def main(argv=None) -> int:
         print(f"entdyn: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
-        print(f"entdyn: I/O failure: {exc}", file=sys.stderr)
+        print(f"entdyn: I/O failure: {config.output_path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 

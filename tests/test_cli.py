@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,34 @@ def test_parse_config_file_with_flag_override(tmp_path):
     assert config.mode == "analytic"
     assert config.grid.n_points == 161  # flag wins over file
     assert config.protocol.tbar == 4.0
+
+
+VALID_FILE = {
+    "mode": "mc", "noise": "ou", "sigma": "1", "tau": "20", "protocol": "pdd",
+    "dt_pulse": "0.5", "points": "81", "ntraj": "16",
+}
+
+
+@pytest.mark.parametrize("key, value", [("noise", "gaussian"), ("protocol", "echoo"), ("mode", "MC")])
+def test_config_file_bad_kind_exits_2(tmp_path, capsys, key, value):
+    # a file value is checked against the same allowed kinds as its flag
+    config_file = tmp_path / "run.cfg"
+    lines = [f"{k} = {value if k == key else v}" for k, v in VALID_FILE.items()]
+    config_file.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "x.csv"
+    assert main(["--config", str(config_file), "-o", str(out)]) == cli.EXIT_CONFIG
+    lineno = list(VALID_FILE).index(key) + 1
+    assert f"{config_file}:{lineno}: bad value for {key!r}" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_non_utf8_config_file_exits_2(tmp_path):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_bytes(b"mode = randomfield\n# \xff\n")
+    result = run_entdyn(["--config", str(config_file), "-o", str(tmp_path / "x.csv")])
+    assert result.returncode == cli.EXIT_CONFIG
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("entdyn: config error: cannot read config file"), result.stderr
 
 
 def test_parse_config_file_rejects_unknown_key(tmp_path):
@@ -169,12 +199,17 @@ def test_mc_manifest_records_workers(tmp_path, monkeypatch):
     assert checksums[0] == checksums[1]
 
 
-def test_main_exit_codes(tmp_path, monkeypatch):
+def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["--mode", "mc"]) == cli.EXIT_CONFIG
-    missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
-    assert (
-        main(f"--mode randomfield --points 21 -o {missing_dir}".split()) == cli.EXIT_IO
-    )
+    capsys.readouterr()
+    # the I/O failure line names the output path the user gave, never the
+    # temp file beside it, and no temp file is left behind
+    (tmp_path / "is_a_dir").mkdir()
+    for out in (tmp_path / "no" / "such" / "dir" / "x.csv", tmp_path / "is_a_dir"):
+        assert main(f"--mode randomfield --points 21 -o {out}".split()) == cli.EXIT_IO
+        err = _one_line_error(capsys)
+        assert err.startswith(f"entdyn: I/O failure: {out}: ") and ".tmp" not in err, err
+    assert list(tmp_path.rglob("*.tmp")) == []
 
     def boom(*args, **kwargs):
         raise NumericalError("did not converge")
@@ -316,12 +351,52 @@ def test_console_script_runs(tmp_path):
     assert out.exists()
 
 
+SETTINGS_ECHO = {
+    "mc-static-echo": (
+        "--mode mc --noise static --sigma 1 --protocol echo --tbar 4 --points 401 --ntraj 10 --seed 2 -o a.csv",
+        {"mode": "mc", "tmax": 8.0, "points": 401, "output": "a.csv", "noise": "static", "sigma": 1.0,
+         "protocol": "echo", "tbar": 4.0, "ntraj": 10, "seed": 2},
+    ),
+    "mc-ou-pdd": (
+        "--mode mc --noise ou --sigma 2 --tau 7 --protocol pdd --dt-pulse 0.5 --tmax 4 --points 401 "
+        "--ntraj 10 --seed 2",
+        {"mode": "mc", "tmax": 4.0, "points": 401, "output": "mc.csv", "noise": "ou", "sigma": 2.0,
+         "tau": 7.0, "protocol": "pdd", "dt_pulse": 0.5, "ntraj": 10, "seed": 2},
+    ),
+    "analytic-ou-free": (
+        "--mode analytic --noise ou --sigma 1 --tau 20",
+        {"mode": "analytic", "tmax": 8.0, "points": 801, "output": "analytic.csv", "noise": "ou",
+         "sigma": 1.0, "tau": 20.0, "protocol": "free"},
+    ),
+    "randomfield": (
+        "--mode randomfield --omega 2 --points 11",
+        {"mode": "randomfield", "tmax": math.pi, "points": 11, "output": "randomfield.csv", "omega": 2.0},
+    ),
+    "jc": (
+        "--mode jc --g 0.5 --tmax 3 -o j.csv",
+        {"mode": "jc", "tmax": 3.0, "points": 401, "output": "j.csv", "g": 0.5},
+    ),
+}
+
+
 def test_settings_echo_round_trip():
-    config = parse_config(
-        "--mode mc --noise ou --sigma 2 --tau 7 --protocol pdd --dt-pulse 0.5 "
-        "--tmax 4 --points 401 --ntraj 10 --seed 2".split()
-    )
-    flat = config.settings()
-    assert flat["noise"] == "ou" and flat["tau"] == 7.0
-    assert flat["protocol"] == "pdd" and flat["dt_pulse"] == 0.5
-    assert flat["ntraj"] == 10 and flat["seed"] == 2
+    # the whole manifest echo: a key that does not apply (tau under static
+    # noise, tbar under pdd, ntraj outside mc) must be absent, not None
+    for name, (args, expected) in SETTINGS_ECHO.items():
+        assert parse_config(args.split()).settings() == expected, name
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("entdyn ")]
+    assert len(commands) == 4
+    for command in commands:
+        parse_config(shlex.split(command)[1:])
+
+
+def test_help_lists_one_flag_per_field(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    flags = re.findall(r"^  (-[-\w]+)", capsys.readouterr().out, re.MULTILINE)
+    assert flags == ["-h", "--config", *("--" + key.replace("_", "-") for key in cli._FIELDS)]
