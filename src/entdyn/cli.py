@@ -174,9 +174,11 @@ def parse_config(argv=None) -> RunConfig:
         default_tmax, default_points = 8.0 / noise.sigma, 801
         if mode == "mc":
             n_traj = fields["n_traj"] = values.get("ntraj", _DEFAULT_NTRAJ)
-            fields["master_seed"] = values.get("seed", _DEFAULT_SEED)
+            seed = fields["master_seed"] = values.get("seed", _DEFAULT_SEED)
             if n_traj < 1:
                 raise ConfigError(f"ntraj must be >= 1, got {n_traj}")
+            if not 0 <= seed < 2**64:
+                raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
     else:  # randomfield and jc: one rotation rate, omega or g
         key = "omega" if mode == "randomfield" else "g"
         rate = fields[key] = values.get(key, 1.0)
@@ -196,7 +198,10 @@ def parse_config(argv=None) -> RunConfig:
             toggling_steps(fields["protocol"], grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    return RunConfig(mode=mode, grid=grid, output_path=values.get("output") or f"{mode}.csv", **fields)
+    output = values.get("output", f"{mode}.csv")
+    if not output:
+        raise ConfigError("output must be a non-empty path")
+    return RunConfig(mode=mode, grid=grid, output_path=output, **fields)
 
 
 def execute(config: RunConfig) -> None:

@@ -1,24 +1,26 @@
 """Trajectory-ensemble Monte Carlo for two-qubit pure dephasing.
 
 Qubit A evolves under H_A(t) = [-Omega_A sz + eps(t) sz + V(t) sx]/2 with
-classical noise eps(t) and instantaneous pi pulses; qubit B idles. Moving
-every pulse to the left of the product of interval propagators turns each
-realization into a pure sz phase with the toggled sign, U(t) = P^m
-exp(-i sz phi(t)/2), phi(t) = int_0^t y eps', so the ensemble reduces to the
-mean dephasing factor m(t) = <exp(-i phi(t))>. Each noise kind has the
-kernel its structure allows:
+classical noise eps(t) and instantaneous pi pulses; qubit B idles. In the
+frame rotating with Omega_A (a local unitary on A, which changes no
+entanglement measure) the splitting drops out. Moving every pulse to the
+left of the product of interval propagators then turns each realization
+into a pure sz phase with the toggled sign, U(t) = P^m exp(-i sz phi(t)/2),
+phi(t) = int_0^t y eps', so the ensemble reduces to the mean dephasing
+factor m(t) = <exp(-i phi(t))>. Each noise kind has the kernel its
+structure allows:
 
 - static noise: a realization's phase is rank 1, phi_k(t_j) = x_k s_j with
-  x_k = (eps_k - Omega_A) dt and s_j the toggling step counts. With
+  x_k = eps_k dt and s_j the toggling step counts. With
   |s_j| = q w + r, exp(i x |s|) = exp(i x r) exp(i x q w), so each batch's
   sum over trajectories is one product of two small exp tables, from which
   every m(t_j) is gathered (conjugated where s_j >= 0). No per-point phase
-  is formed. The tables are real cos and sin tables in buffers that each
-  worker thread keeps from batch to batch.
+  is formed, and m = 1 exactly where s_j = 0. The tables are real cos and
+  sin tables in buffers that each worker thread keeps from batch to batch.
 - OU noise: one pass along the time axis, _ROWS grid rows at a time. Each
   chunk hashes its counters into Gaussians, continues the OU recursion from
-  the row before (`noise.ou_chunk`), continues the phase segments from the
-  carried segment state (`_phase_block`) and takes real cos and sin sums
+  the row before (`noise.ou_chunk`), continues the running phase sum from
+  the carried last rows (`_phase_block`) and takes real cos and sin sums
   over each row. Every chunk is drawn into the same two (_ROWS, batch)
   buffers, small enough to stay in cache, and no (n_points, batch) array is
   formed: the memory per batch is O(batch x _ROWS), whatever the number of
@@ -77,7 +79,6 @@ class DephasingRun:
     n_traj: int
     master_seed: int
     initial_state: np.ndarray = field(default_factory=lambda: PHI_PLUS.copy())
-    omega_a: float = 0.0
 
     def __post_init__(self):
         if self.n_traj < 1:
@@ -87,16 +88,13 @@ class DephasingRun:
 
 class _PhaseCarry:
     """State of the phase pass after the rows it has seen: the next grid row,
-    the last eps row, and the open segment's sign, its start phase and its
-    running sum of increments (copies, so the caller may reuse each chunk),
-    plus one scratch row for the increments."""
+    the last eps row and the last phi row (copies, so the caller may reuse
+    each chunk), plus one scratch row for the increments."""
 
     def __init__(self, n_traj: int):
         self.row = 0
-        self.sign = 0  # no segment is open before the first interval
-        self.eps = np.empty(n_traj)
-        self.base = np.zeros(n_traj)
-        self.local = np.zeros(n_traj)
+        self.eps = np.zeros(n_traj)
+        self.phi = np.zeros(n_traj)
         self.incr = np.empty(n_traj)
 
 
@@ -106,13 +104,11 @@ def _phase_block(eps: np.ndarray, grid: TimeGrid, steps: np.ndarray,
     eps, trapezoidal in eps and exact in y; eps is overwritten with phi and
     returned.
 
-    The toggling sign y_j = s_{j+1} - s_j (``steps`` from
-    `pulses.toggling_steps`) is constant on each grid interval, so each
-    interval contributes y_j dt (eps_j + eps_j+1)/2. One pass over the
-    contiguous time rows accumulates the increments per constant-sign
-    segment and adds each segment's running sum, with its sign, to the total
-    at the segment start, so that a realization with constant eps refocuses
-    bit-exactly (identical partial sums cancel) at the echo time.
+    The toggling sign y_{j-1} = s_j - s_{j-1} (``steps`` from
+    `pulses.toggling_steps`) is constant on the grid interval that ends at
+    row j, so one running sum over the contiguous time rows gives
+    phi_j = phi_{j-1} + (dt/2) y_{j-1} (eps_{j-1} + eps_j), with a zero
+    coefficient at row 0, where phi = 0.
 
     The rows of eps are grid rows carry.row, carry.row + 1, ...; ``carry``
     holds the state after the rows before them and is advanced past these.
@@ -120,35 +116,25 @@ def _phase_block(eps: np.ndarray, grid: TimeGrid, steps: np.ndarray,
     carry give the phases of one whole-grid call, bit for bit.
     """
     carry = _PhaseCarry(eps.shape[1]) if carry is None else carry
-    half_dt = 0.5 * grid.dt
-    start = carry.row
-    signs = np.diff(steps[max(start - 1, 0) : start + len(eps)]).tolist()
-    rows = eps
-    if start == 0:
-        carry.eps[:] = eps[0]
-        eps[0] = 0.0
-        rows = eps[1:]
-    for row, sign in zip(rows, signs):
+    rows = np.arange(carry.row, carry.row + len(eps))
+    coefs = (0.5 * grid.dt * (steps[rows] - steps[np.maximum(rows - 1, 0)])).tolist()
+    phi = carry.phi
+    for row, coef in zip(eps, coefs):
         np.add(carry.eps, row, out=carry.incr)
-        carry.incr *= half_dt
         carry.eps[:] = row
-        if sign != carry.sign:  # a new segment starts: its base is phi(t_j)
-            (np.add if carry.sign >= 0 else np.subtract)(carry.base, carry.local, out=carry.base)
-            carry.local[:] = carry.incr
-            carry.sign = sign
-        else:
-            carry.local += carry.incr
-        (np.add if sign > 0 else np.subtract)(carry.base, carry.local, out=row)
-    carry.row = start + len(eps)
+        carry.incr *= coef
+        np.add(phi, carry.incr, out=row)
+        phi = row
+    carry.phi[:] = phi
+    carry.row += len(eps)
     return eps
 
 
 def _ou_sums(run: DephasingRun, keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """sum_k exp(-i phi[j, k]) for each grid row j over the OU paths of
-    ``keys``, _ROWS rows at a time: Gaussians, OU recursion, the shift by
-    omega_a, the phase and real cos and sin row sums per chunk, from
-    t = tan(phi/2) and w = 2 / (1 + t^2): sum cos = sum w - n and
-    sum sin = sum t w."""
+    ``keys``, _ROWS rows at a time: Gaussians, OU recursion, the phase and
+    real cos and sin row sums per chunk, from t = tan(phi/2) and
+    w = 2 / (1 + t^2): sum cos = sum w - n and sum sin = sum t w."""
     grid = run.grid
     sums = np.empty(grid.n_points, dtype=complex)
     last = np.empty(keys.size)
@@ -162,7 +148,6 @@ def _ou_sums(run: DephasingRun, keys: np.ndarray, steps: np.ndarray) -> np.ndarr
     for start in range(0, grid.n_points, _ROWS):
         stop = min(start + _ROWS, grid.n_points)
         eps = ou_chunk(run.noise, keys, grid, start, stop - start, last, chunk, weights)
-        eps -= run.omega_a
         _phase_block(eps, grid, steps, carry)  # in place: eps is phi now
         eps *= 0.5
         w = weights[: stop - start]
@@ -244,7 +229,7 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
                     rows = min(_BATCH, run.n_traj)
                     worker.tables = [np.empty((rows, n)) for n in (width, width, height, height)]
                 eps = sample_block(run.noise, run.master_seed, indices, run.grid)
-                return _static_table(run.grid.dt * (eps[:, 0] - run.omega_a), width, height, worker.tables)
+                return _static_table(run.grid.dt * eps[:, 0], width, height, worker.tables)
             return _ou_sums(run, trajectory_seed(run.master_seed, indices), steps)
 
     partial = _map_batches(one_batch, run.n_traj, resolve_workers(workers))

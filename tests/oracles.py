@@ -307,7 +307,7 @@ def propagator_series(config) -> SimpleNamespace:
     """
     grid = config.grid
     n = grid.n_points
-    eps = sample_block(config.noise, config.master_seed, np.arange(config.n_traj), grid) - config.omega_a
+    eps = sample_block(config.noise, config.master_seed, np.arange(config.n_traj), grid)
     pulse_at = np.zeros(n, dtype=bool)
     pulse_at[np.rint(pulses.pulse_times(config.protocol, grid.t_max) / grid.dt).astype(int)] = True
     pulse = np.kron(pulse_unitary(), np.eye(2))
@@ -359,6 +359,16 @@ def noise_rows(model, keys, grid) -> np.ndarray:
     return eps
 
 
+def running_phase(eps, grid, steps) -> np.ndarray:
+    """Trapezoidal toggled phases of trajectory-major eps, shape (n_traj,
+    n_points), summed one grid interval after the other:
+    phi_0 = 0, phi_j = phi_{j-1} + (eps_{j-1} + eps_j) (dt/2) (s_j - s_{j-1})."""
+    phi = np.zeros_like(eps)
+    for j in range(1, eps.shape[1]):
+        phi[:, j] = phi[:, j - 1] + (eps[:, j - 1] + eps[:, j]) * (0.5 * grid.dt * (steps[j] - steps[j - 1]))
+    return phi
+
+
 def coherence_reference(config, batch: int = 8192) -> np.ndarray:
     """m(t) = <exp(-i phi(t))> of a DephasingRun from trajectory-major noise
     paths, the `mc._phase_block` phases of every trajectory and a complex
@@ -368,7 +378,7 @@ def coherence_reference(config, batch: int = 8192) -> np.ndarray:
     total = np.zeros(grid.n_points, dtype=complex)
     for k0 in range(0, config.n_traj, batch):
         keys = noise.trajectory_seed(config.master_seed, np.arange(k0, min(k0 + batch, config.n_traj)))
-        eps = noise_rows(config.noise, keys, grid) - config.omega_a
+        eps = noise_rows(config.noise, keys, grid)
         phi = _phase_block(np.ascontiguousarray(eps.T), grid, steps)
         total += np.exp(-1j * phi).sum(axis=1)
     return total / config.n_traj

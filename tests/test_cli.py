@@ -305,6 +305,37 @@ def test_points_above_cap_exits_2(tmp_path, capsys, mode):
     assert parse_config([*MODE_ARGS[mode].split(), "--points", str(cli.MAX_POINTS)]).grid.n_points == 2**20
 
 
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, where):
+    # The stream keys take the seed as a uint64: a seed outside [0, 2^64)
+    # would alias one inside it, so it is refused, not wrapped.
+    out = tmp_path / "x.csv"
+
+    def argv(seed):
+        if where == "flag":
+            return [*MODE_ARGS["mc"].split(), "--seed", str(seed), "-o", str(out)]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"seed = {seed}\n")
+        return [*MODE_ARGS["mc"].split(), "--config", str(config), "-o", str(out)]
+
+    for seed in (-1, 2**64):
+        assert main(argv(seed)) == cli.EXIT_CONFIG
+        message = _one_line_error(capsys)
+        assert "seed must be in [0, 2^64)" in message and str(seed) in message
+        assert not out.exists()
+    for seed in (0, 2**64 - 1):
+        assert parse_config(argv(seed)).master_seed == seed
+
+
+def test_empty_output_path_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("output =\n")
+    for extra in (["--output", ""], ["--config", "run.cfg"]):
+        assert main(["--mode", "jc", *extra]) == cli.EXIT_CONFIG
+        assert "output must be a non-empty path" in _one_line_error(capsys)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
+
+
 @pytest.mark.parametrize("mode", sorted(MODE_ARGS))
 def test_no_cell_reads_negative_zero(tmp_path, mode):
     # the default scenario grids hit the zero of the entanglement at t = pi
