@@ -32,6 +32,7 @@ MODES = ("mc", "analytic", "randomfield", "jc")
 
 _DEFAULT_NTRAJ = 100_000
 MAX_POINTS = 2**20  # grid points; larger grids are refused before any array is built
+MAX_NTRAJ = 2**30  # trajectories; 2^17 batches, ~16 MiB of batch bounds and hours of work
 _DEFAULT_SEED = 1
 
 # Every setting, as a flag (underscores become dashes) and as a config-file
@@ -175,8 +176,8 @@ def parse_config(argv=None) -> RunConfig:
         if mode == "mc":
             n_traj = fields["n_traj"] = values.get("ntraj", _DEFAULT_NTRAJ)
             seed = fields["master_seed"] = values.get("seed", _DEFAULT_SEED)
-            if n_traj < 1:
-                raise ConfigError(f"ntraj must be >= 1, got {n_traj}")
+            if not 1 <= n_traj <= MAX_NTRAJ:
+                raise ConfigError(f"ntraj must be in [1, {MAX_NTRAJ}] (2^30), got {n_traj}")
             if not 0 <= seed < 2**64:
                 raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
     else:  # randomfield and jc: one rotation rate, omega or g

@@ -1,7 +1,8 @@
 """Dense complex linear algebra for Hilbert spaces of dimension <= 8.
 
 Everything here is a pure function on numpy arrays; the validators raise on
-malformed inputs instead of silently repairing them.
+malformed inputs instead of silently repairing them. Each check is written
+so that a NaN fails it (``~(dev <= tol)``, not ``dev > tol``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def check_state_vector(psi, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"state vector has dimension {psi.shape[-1]}, expected {dim}")
     norm_sq = np.sum(np.abs(psi) ** 2, axis=-1)
     dev = np.abs(norm_sq - 1.0)
-    if np.any(dev > NORM_TOL):
+    if np.any(~(dev <= NORM_TOL)):
         raise ValueError(f"state vector not normalized: |psi|^2 = {float(_worst(norm_sq, dev))!r}")
     return psi
 
@@ -53,7 +54,7 @@ def check_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dev = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
     return m
 
@@ -67,12 +68,12 @@ def check_density_matrix(rho, dim: int | None = None, eigenvalues=None) -> np.nd
         raise ValueError(f"density matrix has dimension {rho.shape[-1]}, expected {dim}")
     tr = np.trace(rho, axis1=-2, axis2=-1)
     dev = np.abs(tr - 1.0)
-    if np.any(dev > TRACE_TOL):
+    if np.any(~(dev <= TRACE_TOL)):
         raise ValueError(f"density matrix trace is {complex(_worst(tr, dev))!r}, expected 1")
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvalsh(rho)
     w_min = float(np.min(eigenvalues, initial=np.inf))
-    if w_min < EIG_FLOOR:
+    if not w_min >= EIG_FLOOR:
         raise ValueError(f"density matrix has eigenvalue {w_min:.3e} < {EIG_FLOOR}")
     return rho
 

@@ -2,10 +2,9 @@
 
 Concurrence (pure and Wootters mixed-state), entanglement of formation,
 entropy of entanglement, and the probability-weighted average entanglement
-of a pure-state decomposition. The mixed-state concurrence, the entropies
-and the EoF take stacks: a leading batch axis (the time grid, for the
-scenarios) runs through one call, and a single state is a stack with no
-leading axes.
+of a pure-state decomposition. Every measure and the ensemble take stacks:
+a leading batch axis (the time grid, for the scenarios) runs through one
+call, and a single state is a stack with no leading axes.
 """
 
 from __future__ import annotations
@@ -30,18 +29,10 @@ _SPIN_FLIP = tensor_product(SIGMA_Y, SIGMA_Y)
 _CLAMP = 1e-9
 
 
-def _single_state(psi) -> np.ndarray:
-    """One two-qubit state vector, shape (4,): the measures without a stack axis."""
-    psi = check_state_vector(psi, dim=4)
-    if psi.ndim != 1:
-        raise ValueError(f"expected one state vector, got shape {psi.shape}")
-    return psi
-
-
 def _check_range(x: np.ndarray, what: str) -> None:
     """Raise for the member of a stack furthest outside [0, 1] beyond the clamp band."""
     excess = np.maximum(-x, x - 1.0)
-    if np.any(excess > _CLAMP):
+    if np.any(~(excess <= _CLAMP)):  # NaN fails
         raise ValueError(f"{what} {float(_worst(x, excess))!r} outside [0, 1]")
 
 
@@ -56,15 +47,16 @@ def binary_entropy(x):
     return np.where(inner, h, 0.0)[()]
 
 
-def concurrence_pure(psi) -> float:
-    """Concurrence of a two-qubit pure state: 2 |a00 a11 - a01 a10| / <psi|psi>.
+def concurrence_pure(psi):
+    """Concurrence of two-qubit pure states: 2 |a00 a11 - a01 a10| / <psi|psi>,
+    per state of a stack (..., 4).
 
     Dividing by the norm (1 to 1e-12) cancels the rounding of the amplitudes,
     so the Bell states give exactly 1.
     """
-    psi = _single_state(psi)
-    c = 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2]) / np.vdot(psi, psi).real
-    return float(min(1.0, c))
+    psi = check_state_vector(psi, dim=4)
+    det = psi[..., 0] * psi[..., 3] - psi[..., 1] * psi[..., 2]
+    return np.minimum(1.0, 2.0 * np.abs(det) / np.sum(np.abs(psi) ** 2, axis=-1))[()]
 
 
 def concurrence_mixed(rho):
@@ -110,32 +102,34 @@ def entropy_of_entanglement(psi):
 
 @dataclass(eq=False)
 class WeightedEnsemble:
-    """Physical decomposition {(p_i, |psi_i>)} of a two-qubit state."""
+    """Physical decompositions {(p_k, |psi_k>)} of two-qubit states, stacked.
 
-    members: tuple[tuple[float, np.ndarray], ...]
+    ``probs`` (..., k) lie in [0, 1] and sum to 1 over the member axis, each
+    to 1e-9; ``states`` (..., k, 4) are unit vectors. A single ensemble is a stack with
+    no leading axes. A member of probability 0 is kept.
+    """
 
-    def __init__(self, members):
-        checked = []
-        total = 0.0
-        for p, psi in members:
-            p = float(p)
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"member probability {p!r} outside (0, 1]")
-            checked.append((p, _single_state(psi)))
-            total += p
-        if not checked:
-            raise ValueError("ensemble has no members")
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"member probabilities sum to {total!r}, expected 1")
-        self.members = tuple(checked)
+    probs: np.ndarray
+    states: np.ndarray
+
+    def __post_init__(self):
+        self.probs = np.asarray(self.probs, dtype=float)
+        self.states = check_state_vector(self.states, dim=4)
+        if self.probs.ndim < 1 or self.states.shape[:-1] != self.probs.shape:
+            raise ValueError(f"member probabilities of shape {self.probs.shape} do not match "
+                             f"states of shape {self.states.shape}")
+        _check_range(self.probs, "member probability")
+        total = np.sum(self.probs, axis=-1)
+        dev = np.abs(total - 1.0)
+        if np.any(~(dev <= 1e-9)):  # NaN fails
+            raise ValueError(f"member probabilities sum to {float(_worst(total, dev))!r}, expected 1")
 
     def density_matrix(self) -> np.ndarray:
-        rho = np.zeros((4, 4), dtype=complex)
-        for p, psi in self.members:
-            rho += p * np.outer(psi, psi.conj())
-        return rho
+        """The averaged state sum_k p_k |psi_k><psi_k|, shape (..., 4, 4)."""
+        return np.sum(self.probs[..., None, None] * projector(self.states), axis=-3)
 
 
-def average_entanglement(ensemble: WeightedEnsemble) -> float:
-    """Probability-weighted entropy of entanglement over the ensemble members."""
-    return float(sum(p * entropy_of_entanglement(psi) for p, psi in ensemble.members))
+def average_entanglement(ensemble: WeightedEnsemble):
+    """sum_k p_k E(psi_k), the probability-weighted entropy of entanglement
+    of the members, per ensemble of the stack (...)."""
+    return np.sum(ensemble.probs * entropy_of_entanglement(ensemble.states), axis=-1)[()]

@@ -14,8 +14,8 @@ genuine transfer to the mode, not missing classical information.
 
 The states are closed forms over an array of times, so each series runs
 the grid through the measures in blocks of at most 4096 points, one call
-of each measure per block; the single-time functions take the same
-formulas at one time.
+of each measure per block; at one time the same functions give one state
+or one ensemble.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ import numpy as np
 
 from .grid import TimeGrid
 from .linalg import PHI_PLUS, partial_trace, projector
-from .measures import WeightedEnsemble, concurrence_mixed, entropy_of_entanglement
+from .measures import WeightedEnsemble, average_entanglement, concurrence_mixed
 from .series import EntanglementSeries
 
-_MEMBER_FLOOR = 1e-12
 _BLOCK = 4096  # grid points per call of the measures
 
 
@@ -56,50 +55,9 @@ class JCScenario:
 
 def _times(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if np.any(~(t >= 0.0)):  # NaN fails
         raise ValueError(f"time must be nonnegative, got {float(np.min(t))!r}")
     return t
-
-
-def _random_field_members(scenario: RandomFieldScenario, t) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities (..., 2) and states (..., 2, 4) of the random-field ensemble.
-
-    Member k is (exp(-i G_k omega t / 2) x 1) |phi+> for G_0 = sx, G_1 = sz:
-    with c, s the cosine and sine of omega t / 2 and b = 1/sqrt(2), the states
-    (c b, -i s b, -i s b, c b) and (c b - i s b, 0, 0, c b + i s b).
-    """
-    half = 0.5 * (scenario.omega * _times(t))
-    cb = np.cos(half) * PHI_PLUS[0].real
-    sb = np.sin(half) * PHI_PLUS[0].real
-    zero = np.zeros_like(cb)
-    x_rotated = np.stack([cb, -1j * sb, -1j * sb, cb], axis=-1)
-    z_rotated = np.stack([cb - 1j * sb, zero, zero, cb + 1j * sb], axis=-1)
-    return np.full(cb.shape + (2,), 0.5), np.stack([x_rotated, z_rotated], axis=-2)
-
-
-def _jc_members(scenario: JCScenario, t) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities (..., 2) and states (..., 2, 4) of the A-B ensemble
-    conditioned on the oscillator's number: (|00> + c|11>)/sqrt(2 p0) with
-    p0 = (1 + c^2)/2 and |01> with p1 = (1 - c^2)/2, c = cos(gt/2)."""
-    c = np.cos(0.5 * scenario.g * _times(t))
-    p0 = 0.5 * (1.0 + c * c)
-    p1 = 0.5 * (1.0 - c * c)
-    psi = np.zeros(c.shape + (2, 4), dtype=complex)
-    psi[..., 0, 0] = 1.0
-    psi[..., 0, 3] = c
-    psi[..., 0, :] /= np.sqrt(2.0 * p0)[..., None]
-    psi[..., 1, 1] = 1.0
-    return np.stack([p0, p1], axis=-1), psi
-
-
-def _members_ensemble(probs: np.ndarray, psi: np.ndarray) -> WeightedEnsemble:
-    """The ensemble at one time, without members below probability 1e-12."""
-    return WeightedEnsemble([(p, v) for p, v in zip(probs, psi) if p > _MEMBER_FLOOR])
-
-
-def _average_entanglement(probs: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """sum_k p_k E(psi_k) over the member axis of (..., k) and (..., k, 4)."""
-    return np.sum(probs * entropy_of_entanglement(psi), axis=-1)
 
 
 def _block_series(grid: TimeGrid, measures) -> EntanglementSeries:
@@ -113,18 +71,29 @@ def _block_series(grid: TimeGrid, measures) -> EntanglementSeries:
     return EntanglementSeries(grid, conc, e_av)
 
 
-def random_field_ensemble(scenario: RandomFieldScenario, t: float) -> WeightedEnsemble:
-    """Equal-weight pair {x-rotated, z-rotated} of the Bell state at time t."""
-    return _members_ensemble(*_random_field_members(scenario, t))
+def random_field_ensemble(scenario: RandomFieldScenario, t) -> WeightedEnsemble:
+    """Equal-weight pair {x-rotated, z-rotated} of the Bell state at time t,
+    stacked over an array of times.
+
+    Member k is (exp(-i G_k omega t / 2) x 1) |phi+> for G_0 = sx, G_1 = sz:
+    with c, s the cosine and sine of omega t / 2 and b = 1/sqrt(2), the states
+    (c b, -i s b, -i s b, c b) and (c b - i s b, 0, 0, c b + i s b).
+    """
+    half = 0.5 * (scenario.omega * _times(t))
+    cb = np.cos(half) * PHI_PLUS[0].real
+    sb = np.sin(half) * PHI_PLUS[0].real
+    zero = np.zeros_like(cb)
+    x_rotated = np.stack([cb, -1j * sb, -1j * sb, cb], axis=-1)
+    z_rotated = np.stack([cb - 1j * sb, zero, zero, cb + 1j * sb], axis=-1)
+    return WeightedEnsemble(np.full(cb.shape + (2,), 0.5), np.stack([x_rotated, z_rotated], axis=-2))
 
 
 def random_field_series(scenario: RandomFieldScenario) -> EntanglementSeries:
     """Full revival timeline of the random-field example."""
 
     def measures(times):
-        probs, psi = _random_field_members(scenario, times)
-        mixture = np.sum(probs[..., None, None] * projector(psi), axis=-3)
-        return concurrence_mixed(mixture), _average_entanglement(probs, psi)
+        ensemble = random_field_ensemble(scenario, times)
+        return concurrence_mixed(ensemble.density_matrix()), average_entanglement(ensemble)
 
     return _block_series(scenario.grid, measures)
 
@@ -146,14 +115,22 @@ def jc_state(scenario: JCScenario, t) -> np.ndarray:
     return psi / math.sqrt(2.0)
 
 
-def jc_ensemble(scenario: JCScenario, t: float) -> WeightedEnsemble:
-    """A-B ensemble conditioned on measuring the oscillator in {|0>, |1>}.
+def jc_ensemble(scenario: JCScenario, t) -> WeightedEnsemble:
+    """A-B ensemble conditioned on measuring the oscillator in {|0>, |1>} at
+    time t, stacked over an array of times.
 
-    p0 = (1 + cos^2(gt/2))/2 with state (|00> + cos(gt/2)|11>)/sqrt(2 p0);
-    p1 = sin^2(gt/2)/2 with product state |01>. Members below probability
-    1e-12 are dropped.
+    p0 = (1 + c^2)/2 with state (|00> + c|11>)/sqrt(2 p0) and p1 = (1 - c^2)/2
+    with product state |01>, c = cos(gt/2).
     """
-    return _members_ensemble(*_jc_members(scenario, t))
+    c = np.cos(0.5 * scenario.g * _times(t))
+    p0 = 0.5 * (1.0 + c * c)
+    p1 = 0.5 * (1.0 - c * c)
+    psi = np.zeros(c.shape + (2, 4), dtype=complex)
+    psi[..., 0, 0] = 1.0
+    psi[..., 0, 3] = c
+    psi[..., 0, :] /= np.sqrt(2.0 * p0)[..., None]
+    psi[..., 1, 1] = 1.0
+    return WeightedEnsemble(np.stack([p0, p1], axis=-1), psi)
 
 
 def jc_measures(scenario: JCScenario) -> EntanglementSeries:
@@ -166,6 +143,6 @@ def jc_measures(scenario: JCScenario) -> EntanglementSeries:
 
     def measures(times):
         rho_ab = partial_trace(projector(jc_state(scenario, times)), 0, (4, 2))
-        return concurrence_mixed(rho_ab), _average_entanglement(*_jc_members(scenario, times))
+        return concurrence_mixed(rho_ab), average_entanglement(jc_ensemble(scenario, times))
 
     return _block_series(scenario.grid, measures)

@@ -244,7 +244,7 @@ def test_criterion_8_property_suites():
         n = rng.integers(2, 7)
         weights = rng.random(n)
         weights /= weights.sum()
-        ens = WeightedEnsemble([(w, random_state(rng)) for w in weights])
+        ens = WeightedEnsemble(weights, [random_state(rng) for _ in weights])
         hidden_min = min(hidden_min, hidden_entanglement(ens).e_hidden)
 
     from entdyn.filters import filter_echo, filter_free, filter_numeric, filter_pdd

@@ -305,6 +305,18 @@ def test_points_above_cap_exits_2(tmp_path, capsys, mode):
     assert parse_config([*MODE_ARGS[mode].split(), "--points", str(cli.MAX_POINTS)]).grid.n_points == 2**20
 
 
+def test_ntraj_above_cap_exits_2(tmp_path, capsys):
+    # Refused before any batch bookkeeping is built; the accepted 2^30 is
+    # only parsed, never run.
+    out = tmp_path / "x.csv"
+    base = "--mode mc --noise static --sigma 1 --ntraj".split()
+    assert main([*base, str(2**30 + 1), "-o", str(out)]) == cli.EXIT_CONFIG
+    message = _one_line_error(capsys)
+    assert "ntraj must be in [1, 1073741824]" in message and str(2**30 + 1) in message
+    assert not out.exists()
+    assert parse_config([*base, str(cli.MAX_NTRAJ)]).n_traj == 2**30
+
+
 @pytest.mark.parametrize("where", ["flag", "file"])
 def test_seed_outside_64_bits_exits_2(tmp_path, capsys, where):
     # The stream keys take the seed as a uint64: a seed outside [0, 2^64)

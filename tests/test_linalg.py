@@ -10,6 +10,7 @@ from entdyn.linalg import (
     SIGMA_X,
     SIGMA_Z,
     check_density_matrix,
+    check_hermitian,
     check_state_vector,
     hermitian_eigen,
     partial_trace,
@@ -143,3 +144,33 @@ def test_density_matrix_validation():
         check_density_matrix(np.eye(4))  # trace 4
     with pytest.raises(ValueError):
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+def _nan_state_stack():
+    rng = np.random.default_rng(19)
+    states = np.array([random_state(rng) for _ in range(8)])
+    states[5, 2] = np.nan
+    return states
+
+
+def _nan_density_stack():
+    rng = np.random.default_rng(23)
+    rhos = np.array([random_density(rng, 4) for _ in range(8)])
+    rhos[5, 1, 2] = rhos[5, 2, 1] = np.nan
+    return rhos
+
+
+@pytest.mark.parametrize(
+    "validator, stack",
+    [
+        (check_state_vector, _nan_state_stack),
+        (check_hermitian, _nan_density_stack),
+        (check_density_matrix, _nan_density_stack),
+    ],
+    ids=["state_vector", "hermitian", "density_matrix"],
+)
+def test_validators_reject_a_nan_member(validator, stack):
+    # NaN compares False with everything, so a check written as `dev > tol` let it through.
+    with pytest.raises(ValueError) as err:
+        validator(stack())
+    assert "nan" in str(err.value) and "\n" not in str(err.value)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from entdyn.linalg import PHI_MINUS, PHI_PLUS, PSI_MINUS, PSI_PLUS, projector, tensor_product
+from entdyn.linalg import (
+    PHI_MINUS,
+    PHI_PLUS,
+    PSI_MINUS,
+    PSI_PLUS,
+    check_state_vector,
+    projector,
+    tensor_product,
+)
 from entdyn.measures import (
     WeightedEnsemble,
     average_entanglement,
@@ -150,19 +158,19 @@ def test_entropy_equals_eof_of_pure_concurrence():
 
 
 def test_average_entanglement_bell_pair_mixture():
-    ens = WeightedEnsemble([(0.5, PHI_PLUS), (0.5, PHI_MINUS)])
+    ens = WeightedEnsemble([0.5, 0.5], [PHI_PLUS, PHI_MINUS])
     assert average_entanglement(ens) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_average_entanglement_product():
-    ens = WeightedEnsemble([(1.0, np.array([1, 0, 0, 0], dtype=complex))])
+    ens = WeightedEnsemble([1.0], [np.array([1, 0, 0, 0], dtype=complex)])
     assert average_entanglement(ens) == 0.0
 
 
 def test_average_entanglement_two_branch_unravelling():
     # p0 = 0.625 entangled branch with concurrence 0.8, p1 = 0.375 product
     ens = WeightedEnsemble(
-        [(0.625, jc_branch_state(0.25)), (0.375, np.array([0, 1, 0, 0], dtype=complex))]
+        [0.625, 0.375], [jc_branch_state(0.25), np.array([0, 1, 0, 0], dtype=complex)]
     )
     expected = 0.625 * eof_of_concurrence(0.8)
     assert average_entanglement(ens) == pytest.approx(expected, abs=1e-12)
@@ -170,21 +178,21 @@ def test_average_entanglement_two_branch_unravelling():
 
 
 def test_hidden_entanglement_bell_rotation_midpoint():
-    report = hidden_entanglement(WeightedEnsemble([(0.5, PHI_MINUS), (0.5, PSI_PLUS)]))
+    report = hidden_entanglement(WeightedEnsemble([0.5, 0.5], [PHI_MINUS, PSI_PLUS]))
     assert report.e_av == pytest.approx(1.0, abs=1e-9)
     assert report.eof == 0.0
     assert report.e_hidden == pytest.approx(1.0, abs=1e-9)
 
 
 def test_hidden_entanglement_recovered():
-    report = hidden_entanglement(WeightedEnsemble([(0.5, PHI_PLUS), (0.5, PHI_PLUS)]))
+    report = hidden_entanglement(WeightedEnsemble([0.5, 0.5], [PHI_PLUS, PHI_PLUS]))
     assert report.eof == pytest.approx(1.0, abs=1e-9)
     assert abs(report.e_hidden) <= 1e-9
 
 
 def test_hidden_entanglement_exchange_gap():
     ens = WeightedEnsemble(
-        [(0.75, jc_branch_state(0.5)), (0.25, np.array([0, 1, 0, 0], dtype=complex))]
+        [0.75, 0.25], [jc_branch_state(0.5), np.array([0, 1, 0, 0], dtype=complex)]
     )
     report = hidden_entanglement(ens)
     expected = 0.75 * eof_of_concurrence(2.0 * math.sqrt(0.5) / 1.5) - eof_of_concurrence(
@@ -200,7 +208,7 @@ def test_hidden_entanglement_report_consistency():
         n = rng.integers(2, 7)
         weights = rng.random(n)
         weights /= weights.sum()
-        ens = WeightedEnsemble([(w, random_state(rng)) for w in weights])
+        ens = WeightedEnsemble(weights, [random_state(rng) for _ in weights])
         report = hidden_entanglement(ens)
         assert report.e_hidden == pytest.approx(report.e_av - report.eof, abs=1e-12)
 
@@ -212,22 +220,22 @@ def test_hidden_entanglement_convexity_sweep():
         n = rng.integers(2, 7)
         weights = rng.random(n)
         weights /= weights.sum()
-        ens = WeightedEnsemble([(w, random_state(rng)) for w in weights])
+        ens = WeightedEnsemble(weights, [random_state(rng) for _ in weights])
         worst = min(worst, hidden_entanglement(ens).e_hidden)
     assert worst >= -1e-9
 
 
 def test_weighted_ensemble_validation():
     with pytest.raises(ValueError):
-        WeightedEnsemble([(0.7, PHI_PLUS)])  # probabilities do not sum to 1
+        WeightedEnsemble([0.7], [PHI_PLUS])  # probabilities do not sum to 1
     with pytest.raises(ValueError):
-        WeightedEnsemble([(1.0, np.array([1.0, 1.0, 0.0, 0.0]))])  # not normalized
+        WeightedEnsemble([1.0], [np.array([1.0, 1.0, 0.0, 0.0])])  # not normalized
     with pytest.raises(ValueError):
-        WeightedEnsemble([])
+        WeightedEnsemble(np.empty(0), np.empty((0, 4)))
 
 
 def test_weighted_ensemble_density_matrix():
-    ens = WeightedEnsemble([(0.5, PHI_PLUS), (0.5, PHI_MINUS)])
+    ens = WeightedEnsemble([0.5, 0.5], [PHI_PLUS, PHI_MINUS])
     assert_allclose(ens.density_matrix(), np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
 
 
@@ -309,3 +317,81 @@ def test_concurrence_stack_with_one_member_above_one_raises_its_error():
     with pytest.raises(ValueError) as stacked:
         eof_from_concurrence(c)
     assert str(stacked.value) == str(alone.value)
+
+
+def test_concurrence_pure_stack_equals_each_member():
+    rng = np.random.default_rng(67)
+    states = np.array([random_state(rng) for _ in range(64)])
+    stacked = concurrence_pure(states)
+    assert stacked.shape == (64,)
+    np.testing.assert_array_equal(stacked, [concurrence_pure(psi) for psi in states])
+    np.testing.assert_array_equal(concurrence_pure(states.reshape(16, 4, 4)), stacked.reshape(16, 4))
+    np.testing.assert_array_equal(concurrence_pure([PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS]), 1.0)
+
+
+@pytest.mark.parametrize("measure", [eof_from_concurrence, binary_entropy])
+def test_range_check_rejects_a_nan_member(measure):
+    x = np.linspace(0.0, 1.0, 16)
+    x[7] = np.nan
+    with pytest.raises(ValueError, match="nan outside"):
+        measure(x)
+
+
+def _ensemble_stack(rng, count, members):
+    weights = rng.random((count, members))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    states = np.array([[random_state(rng) for _ in range(members)] for _ in range(count)])
+    return weights, states
+
+
+def test_weighted_ensemble_keeps_a_zero_probability_member():
+    ens = WeightedEnsemble([1.0, 0.0], [PHI_PLUS, np.array([0, 1, 0, 0], dtype=complex)])
+    np.testing.assert_array_equal(ens.probs, [1.0, 0.0])
+    assert average_entanglement(ens) == pytest.approx(1.0, abs=1e-12)
+    assert_allclose(ens.density_matrix(), projector(PHI_PLUS), atol=0)
+
+
+def test_weighted_ensemble_rejects_bad_stacks():
+    probs, states = _ensemble_stack(np.random.default_rng(71), 6, 3)
+    WeightedEnsemble(probs, states)
+    with pytest.raises(ValueError, match="do not match"):
+        WeightedEnsemble(probs[:, :2], states)
+    with pytest.raises(ValueError, match="do not match"):
+        WeightedEnsemble(1.0, PHI_PLUS)  # no member axis
+    negative = probs.copy()
+    negative[4] = [0.75, 0.5, -0.25]
+    with pytest.raises(ValueError, match=r"member probability -0.25 outside \[0, 1\]"):
+        WeightedEnsemble(negative, states)
+    short = probs.copy()
+    short[1] *= 0.95
+    short[4] *= 0.9  # the worst member is named, not the first
+    with pytest.raises(ValueError) as err:
+        WeightedEnsemble(short, states)
+    total = float(np.sum(short[4]))
+    assert str(err.value) == f"member probabilities sum to {total!r}, expected 1"
+    unnormalized = states.copy()
+    unnormalized[2, 1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError) as alone:
+        check_state_vector(unnormalized[2, 1])
+    with pytest.raises(ValueError) as stacked:
+        WeightedEnsemble(probs, unnormalized)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_weighted_ensemble_rejects_a_nan_probability():
+    probs, states = _ensemble_stack(np.random.default_rng(73), 6, 3)
+    probs[3, 0] = np.nan
+    with pytest.raises(ValueError, match="member probability nan outside"):
+        WeightedEnsemble(probs, states)
+
+
+def test_ensemble_stack_equals_each_ensemble():
+    probs, states = _ensemble_stack(np.random.default_rng(79), 30, 3)
+    stacked = WeightedEnsemble(probs, states)
+    single = [WeightedEnsemble(p, psi) for p, psi in zip(probs, states)]
+    e_av = average_entanglement(stacked)
+    assert e_av.shape == (30,)
+    np.testing.assert_array_equal(e_av, [average_entanglement(ens) for ens in single])
+    np.testing.assert_array_equal(stacked.density_matrix(), [ens.density_matrix() for ens in single])
+    reshaped = WeightedEnsemble(probs.reshape(5, 6, 3), states.reshape(5, 6, 3, 4))
+    np.testing.assert_array_equal(average_entanglement(reshaped), e_av.reshape(5, 6))

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from entdyn import linalg, measures
 from entdyn.grid import TimeGrid
@@ -36,14 +36,14 @@ def equal_up_to_phase(a, b, atol=1e-12):
 
 def test_random_field_ensemble_initial():
     ens = random_field_ensemble(RF, 0.0)
-    for p, psi in ens.members:
+    for p, psi in zip(ens.probs, ens.states):
         assert p == 0.5
         assert equal_up_to_phase(psi, PHI_PLUS)
 
 
 def test_random_field_ensemble_at_tbar():
     ens = random_field_ensemble(RF, TBAR)
-    (p_x, psi_x), (p_z, psi_z) = ens.members
+    psi_x, psi_z = ens.states
     assert equal_up_to_phase(psi_x, PSI_PLUS)  # x rotation maps phi+ to psi+
     assert equal_up_to_phase(psi_z, PHI_MINUS)
     mixture = ens.density_matrix()
@@ -52,7 +52,7 @@ def test_random_field_ensemble_at_tbar():
 
 
 def test_random_field_ensemble_at_revival():
-    for _, psi in random_field_ensemble(RF, 2.0 * TBAR).members:
+    for psi in random_field_ensemble(RF, 2.0 * TBAR).states:
         assert equal_up_to_phase(psi, PHI_PLUS)
 
 
@@ -112,23 +112,22 @@ def test_jc_state_normalized_on_grid():
 
 
 def test_jc_ensemble_initial():
+    # the one-photon member is kept at probability 0
     ens = jc_ensemble(JC, 0.0)
-    assert len(ens.members) == 1
-    p, psi = ens.members[0]
-    assert p == pytest.approx(1.0, abs=1e-12)
-    assert equal_up_to_phase(psi, PHI_PLUS)
+    assert_allclose(ens.probs, [1.0, 0.0], atol=1e-12)
+    assert equal_up_to_phase(ens.states[0], PHI_PLUS)
 
 
 def test_jc_ensemble_at_swap_is_product():
     ens = jc_ensemble(JC, TBAR)
-    probs = sorted(p for p, _ in ens.members)
+    probs = sorted(ens.probs)
     assert_allclose(probs, [0.5, 0.5], atol=1e-12)
     assert average_entanglement(ens) <= 1e-12
 
 
 def test_jc_ensemble_probabilities():
     ens = jc_ensemble(JC, 2.0 * math.pi / 3.0)  # eta = 1/4
-    p0, p1 = ens.members[0][0], ens.members[1][0]
+    p0, p1 = ens.probs
     assert p0 == pytest.approx(0.625, abs=1e-12)
     assert p1 == pytest.approx(0.375, abs=1e-12)
 
@@ -184,6 +183,14 @@ def test_scenario_validation():
         jc_state(JC, -0.1)
 
 
+@pytest.mark.parametrize("state_of, scenario", [(jc_state, JC), (jc_ensemble, JC), (random_field_ensemble, RF)])
+def test_nan_time_is_rejected(state_of, scenario):
+    times = scenario.grid.times.copy()
+    times[3] = np.nan
+    with pytest.raises(ValueError, match="time must be nonnegative, got nan"):
+        state_of(scenario, times)
+
+
 SCENARIOS = {
     "randomfield": (RandomFieldScenario, random_field_series, 1.0),
     "jc": (JCScenario, jc_measures, 1.0),
@@ -230,3 +237,14 @@ def test_measures_run_once_per_block(monkeypatch, name):
     assert eigen == [(4096, 4, 4), (1, 4, 4)]
     assert entropy == [(4096, 2, 4), (1, 2, 4)]
     assert eof == [(4097,)]
+
+
+@pytest.mark.parametrize("ensemble_of, scenario", [(random_field_ensemble, RF), (jc_ensemble, JC)])
+def test_ensemble_over_times_equals_each_time(ensemble_of, scenario):
+    times = scenario.grid.times
+    stacked = ensemble_of(scenario, times)
+    assert stacked.probs.shape == (times.size, 2) and stacked.states.shape == (times.size, 2, 4)
+    for j, t in enumerate(times):
+        single = ensemble_of(scenario, float(t))
+        assert_array_equal(stacked.probs[j], single.probs)
+        assert_array_equal(stacked.states[j], single.states)
