@@ -29,9 +29,6 @@ from .linalg import (
     PSI_MINUS,
     PSI_PLUS,
     hermitian_eigen,
-    partial_trace,
-    tensor_product,
-    von_neumann_entropy,
 )
 from .mc import DephasingRun, run
 from .measures import (
@@ -49,7 +46,6 @@ from .scenarios import (
     RandomFieldScenario,
     jc_ensemble,
     jc_measures,
-    jc_state,
     random_field_ensemble,
     random_field_series,
 )
@@ -85,14 +81,10 @@ __all__ = [
     "hermitian_eigen",
     "jc_ensemble",
     "jc_measures",
-    "jc_state",
-    "partial_trace",
     "power_spectrum",
     "pulse_times",
     "random_field_ensemble",
     "random_field_series",
     "run",
-    "tensor_product",
     "toggling_steps",
-    "von_neumann_entropy",
 ]

@@ -39,8 +39,9 @@ _SMALL_PHASE = 1e-6
 # ~8e3 panels; far beyond that the node arrays no longer fit in memory. The
 # PDD filters keep one array entry per pulse and share the cap.
 _MAX_PANELS = 2**17
-# Below this x = L/tau, x - (1 - e^{-x}) is summed as a series: the direct
-# difference keeps only ~1e-16/x of its relative precision.
+# Below this x = L/tau, (1 - e^{-x})/x and (x - (1 - e^{-x}))/x^2 are summed
+# as series: the direct difference keeps only ~1e-16/x of its relative
+# precision, and x may underflow to 0.
 _SERIES_X = 1e-3
 
 # Engine that analytic_series runs for each noise kind.
@@ -272,29 +273,36 @@ def ou_exponents(noise: NoiseModel, steps, grid: TimeGrid) -> np.ndarray:
     sign on grid interval j is y_j = s_{j+1} - s_j. With A(s) = int_0^s y(u)
     e^{-(s-u)/tau} du, an interval of length L, x = L/tau and d = 1 - e^{-x}
     adds sigma^2 (y A tau d + tau^2 (x - d)) to chi and maps A to
-    (1 - d) A + y tau d. Raises NumericalError when chi is not finite.
+    (1 - d) A + y tau d. The two tau terms are taken as L (d/x) and
+    L^2 (x - d)/x^2, so no tau^2 is formed and a quasistatic tau does not
+    overflow. chi is a variance: its roundoff below 0 is floored at 0.
+    Raises NumericalError when chi is not finite.
     """
     if noise.kind != ORNSTEIN_UHLENBECK:
         raise ValueError("the OU recursion is defined for OU noise only")
-    tau = noise.tau
-    x = np.diff(grid.times) / tau
+    length = np.diff(grid.times)
+    x = length / noise.tau
     d = -np.expm1(-x)
-    excess = x - d
     small = x < _SERIES_X
     xs = x[small]
-    excess[small] = xs * xs * (0.5 - xs * (1 / 6 - xs * (1 / 24 - xs * (1 / 120 - xs / 720))))
+    x_direct = np.where(small, 1.0, x)
+    decay = d / x_direct
+    excess = (x - d) / x_direct / x_direct
+    decay[small] = 1.0 - xs * (0.5 - xs * (1 / 6 - xs * (1 / 24 - xs / 120)))
+    excess[small] = 0.5 - xs * (1 / 6 - xs * (1 / 24 - xs * (1 / 120 - xs / 720)))
     chis = np.empty(grid.n_points)
     chis[0] = a = chi = 0.0
     signs = np.diff(steps).tolist()
-    for k, (y, dk, ek) in enumerate(zip(signs, d.tolist(), excess.tolist()), start=1):
-        chi += y * a * tau * dk + tau * tau * ek
-        a = (1.0 - dk) * a + y * tau * dk
+    terms = zip(signs, d.tolist(), (length * decay).tolist(), (length * length * excess).tolist())
+    for k, (y, dk, tau_d, tau_sq_excess) in enumerate(terms, start=1):
+        chi += y * a * tau_d + tau_sq_excess
+        a = (1.0 - dk) * a + y * tau_d
         chis[k] = chi
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (noise.sigma * noise.sigma) * chis
+        out = (noise.sigma * noise.sigma) * np.maximum(chis, 0.0)
     if not np.all(np.isfinite(out)):
         raise NumericalError(
-            f"OU dephasing exponent is not finite for sigma = {noise.sigma!r}, tau = {tau!r}"
+            f"OU dephasing exponent is not finite for sigma = {noise.sigma!r}, tau = {noise.tau!r}"
         )
     return out
 

@@ -19,7 +19,6 @@ EIG_FLOOR = -1e-10
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 # Two-qubit Bell states in the |00>, |01>, |10>, |11> product basis
 # (qubit A is the left, most significant factor).
@@ -84,40 +83,6 @@ def projector(psi) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two vectors or two matrices (left factor is subsystem A)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError("operands must both be vectors or both be matrices")
-    return np.kron(a, b)
-
-
-def partial_trace(rho, keep: int, dims) -> np.ndarray:
-    """Trace out all tensor factors except ``dims[keep]``, shape (..., D, D).
-
-    ``dims`` lists the factor dimensions in the global ordering (left factor
-    first); their product must equal the dimension D of ``rho``.
-    """
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-2:] != (total, total):
-        raise ValueError(f"dims {dims} do not match matrix of shape {rho.shape}")
-    if not 0 <= keep < len(dims):
-        raise ValueError(f"keep index {keep} out of range for {len(dims)} factors")
-    lead = rho.ndim - 2
-    t = rho.reshape(rho.shape[:-2] + dims + dims)
-    n_factors = len(dims)
-    # Trace highest non-kept axis first so earlier axis numbers stay valid.
-    for axis in reversed(range(len(dims))):
-        if axis == keep:
-            continue
-        t = np.trace(t, axis1=lead + axis, axis2=lead + axis + n_factors)
-        n_factors -= 1
-    return t
-
-
 def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of Hermitian matrices (..., d, d), eigenvalues sorted
     descending.
@@ -128,14 +93,3 @@ def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(m)
     return np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
 
-
-def von_neumann_entropy(rho):
-    """-sum(lambda log2 lambda) in bits, with 0 log 0 = 0, per matrix of a
-    stack (..., d, d)."""
-    w = np.linalg.eigvalsh(check_hermitian(rho))
-    check_density_matrix(rho, eigenvalues=w)
-    w = np.clip(w, 0.0, None)
-    kept = w > 1e-18
-    terms = np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0)
-    # + 0.0 turns the -0.0 of a pure state into 0.0
-    return np.maximum(-np.sum(terms, axis=-1), 0.0)[()] + 0.0

@@ -19,13 +19,10 @@ from .linalg import (
     check_density_matrix,
     check_state_vector,
     hermitian_eigen,
-    partial_trace,
     projector,
-    tensor_product,
-    von_neumann_entropy,
 )
 
-_SPIN_FLIP = tensor_product(SIGMA_Y, SIGMA_Y)
+_SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 _CLAMP = 1e-9
 
 
@@ -95,9 +92,12 @@ def eof_from_concurrence(c):
 
 def entropy_of_entanglement(psi):
     """Von Neumann entropy of the reduced state of qubit A, in bits, per
-    state of a stack (..., 4)."""
-    psi = check_state_vector(psi, dim=4)
-    return von_neumann_entropy(partial_trace(projector(psi), 0, (2, 2)))
+    state of a stack (..., 4).
+
+    For a pure two-qubit state this is the entanglement of formation of its
+    concurrence (Wootters, PRL 80, 2245, 1998), so no reduced state is formed.
+    """
+    return eof_from_concurrence(concurrence_pure(psi))
 
 
 @dataclass(eq=False)

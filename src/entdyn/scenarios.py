@@ -12,21 +12,21 @@ amplitude cos(g t / 2), full swap at g t = pi). Monitoring the mode in the
 which here gives a small average-vs-formation gap: the entanglement loss is
 genuine transfer to the mode, not missing classical information.
 
-The states are closed forms over an array of times, so each series runs
-the grid through the measures in blocks of at most 4096 points, one call
-of each measure per block; at one time the same functions give one state
-or one ensemble.
+Each scenario is one ensemble builder, a closed form over an array of
+times. Both series run it through the same stage: in blocks of at most 4096
+points, the Wootters concurrence of the ensemble's averaged state and the
+ensemble's average entanglement, one call of each measure per block. At
+one time the same builder gives one ensemble.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import TimeGrid
-from .linalg import PHI_PLUS, partial_trace, projector
+from .linalg import PHI_PLUS
 from .measures import WeightedEnsemble, average_entanglement, concurrence_mixed
 from .series import EntanglementSeries
 
@@ -60,14 +60,17 @@ def _times(t) -> np.ndarray:
     return t
 
 
-def _block_series(grid: TimeGrid, measures) -> EntanglementSeries:
-    """Series from ``measures(times) -> (concurrence, e_av)``, called once per block."""
+def _block_series(grid: TimeGrid, ensemble_of) -> EntanglementSeries:
+    """Series from ``ensemble_of(times) -> WeightedEnsemble``, built once per
+    block: the Wootters concurrence of its averaged state and its E_av."""
     times = grid.times
     conc = np.empty(grid.n_points)
     e_av = np.empty(grid.n_points)
     for start in range(0, grid.n_points, _BLOCK):
         block = slice(start, start + _BLOCK)
-        conc[block], e_av[block] = measures(times[block])
+        ensemble = ensemble_of(times[block])
+        conc[block] = concurrence_mixed(ensemble.density_matrix())
+        e_av[block] = average_entanglement(ensemble)
     return EntanglementSeries(grid, conc, e_av)
 
 
@@ -90,29 +93,7 @@ def random_field_ensemble(scenario: RandomFieldScenario, t) -> WeightedEnsemble:
 
 def random_field_series(scenario: RandomFieldScenario) -> EntanglementSeries:
     """Full revival timeline of the random-field example."""
-
-    def measures(times):
-        ensemble = random_field_ensemble(scenario, times)
-        return concurrence_mixed(ensemble.density_matrix()), average_entanglement(ensemble)
-
-    return _block_series(scenario.grid, measures)
-
-
-def jc_state(scenario: JCScenario, t) -> np.ndarray:
-    """Tripartite state of (A, B, oscillator) at time t, dimension 8.
-
-    (|000> + cos(gt/2)|110> - i sin(gt/2)|011>) / sqrt(2) in the A x B x O
-    ordering; the oscillator never leaves {|0>, |1>} because the initial state
-    carries at most one excitation and the exchange conserves it. The -i on
-    the one-photon branch is a per-branch phase that cancels in every emitted
-    quantity. An array of times gives a stack (..., 8).
-    """
-    half = 0.5 * scenario.g * _times(t)
-    psi = np.zeros(half.shape + (8,), dtype=complex)
-    psi[..., 0] = 1.0                     # |0_A 0_B 0_O>
-    psi[..., 6] = np.cos(half)            # |1_A 1_B 0_O>
-    psi[..., 3] = -1j * np.sin(half)      # |0_A 1_B 1_O>
-    return psi / math.sqrt(2.0)
+    return _block_series(scenario.grid, lambda times: random_field_ensemble(scenario, times))
 
 
 def jc_ensemble(scenario: JCScenario, t) -> WeightedEnsemble:
@@ -136,13 +117,8 @@ def jc_ensemble(scenario: JCScenario, t) -> WeightedEnsemble:
 def jc_measures(scenario: JCScenario) -> EntanglementSeries:
     """Entanglement series of the exchange scenario.
 
-    The concurrence comes from the traced tripartite state through the
-    Wootters procedure, E_av from the measurement ensemble. The emitted gap
-    is E_av - E_f >= 0.
+    The measurement ensemble averages to the A-B state left by tracing out
+    the oscillator, so its averaged state gives the concurrence (Wootters)
+    and its members give E_av. The emitted gap is E_av - E_f >= 0.
     """
-
-    def measures(times):
-        rho_ab = partial_trace(projector(jc_state(scenario, times)), 0, (4, 2))
-        return concurrence_mixed(rho_ab), average_entanglement(jc_ensemble(scenario, times))
-
-    return _block_series(scenario.grid, measures)
+    return _block_series(scenario.grid, lambda times: jc_ensemble(scenario, times))

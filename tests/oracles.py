@@ -13,9 +13,13 @@ state instead of the closed forms |m| C(v) and EoF(C(v)), and the two
 scenarios point by point from matrix exponentials of their generators,
 with the Wootters lambdas as singular values of the members' spin-flip
 overlaps and Schmidt-coefficient entropies instead of the stacked
-measures. The CSV column checksums are recomputed from the written file,
-not from the series, and the CSV is also formatted in one piece beside the
-writer's row blocks. The hidden-entanglement report of a single ensemble
+measures. The exchange scenario's tripartite state comes from its
+generator here, with a reshape partial trace, to check the measurement
+ensemble that is all the library builds of it; the Schmidt entropies also
+check the library's closed-form entropy of entanglement of pure states.
+The CSV column checksums are recomputed from the written file, not from
+the series, and the CSV is also formatted in one piece beside the writer's
+row blocks. The hidden-entanglement report of a single ensemble
 lives here too: only tests use it.
 """
 
@@ -260,15 +264,29 @@ def _exchange_generator(g: float) -> np.ndarray:
     return 0.5 * g * (hop + hop.T)
 
 
+def exchange_state(g: float, t: float) -> np.ndarray:
+    """State of (A, B, oscillator) in the exchange scenario at time t:
+    exp(-i H t) (|000> + |110>)/sqrt(2) for the generator above, dimension 8."""
+    initial = np.zeros(8, dtype=complex)
+    initial[[0, 6]] = 1.0 / math.sqrt(2.0)
+    return _evolution(_exchange_generator(g), t) @ initial
+
+
+def reduced_state(psi: np.ndarray, dim: int) -> np.ndarray:
+    """Partial trace of |psi><psi| down to its leading factor of dimension ``dim``."""
+    amplitudes = np.asarray(psi).reshape(dim, -1)
+    return np.einsum("ik,jk->ij", amplitudes, amplitudes.conj())
+
+
 def scenario_series_pointwise(scenario) -> SimpleNamespace:
     """Measures of a scenario point by point over its grid.
 
     Random fields: the members are exp(-i G omega t / 2) x 1 applied to
     |phi+> for G = sx, sz, each with weight 1/2. Exchange: the tripartite
-    state is exp(-i H t) (|000> + |110>)/sqrt(2) for the generator above; the
-    A-B state is its partial trace and the members are the A-B states left by
-    each oscillator number. C comes from `wootters_concurrence` of the
-    averaged state, E_av from the members' Schmidt coefficients.
+    state is `exchange_state`; the A-B state is its partial trace and the
+    members are the A-B states left by each oscillator number. C comes from
+    `takagi_concurrence` of the weighted members, E_av from the members'
+    Schmidt coefficients.
     """
     times = scenario.grid.times
     conc = np.empty(times.size)
@@ -282,11 +300,8 @@ def scenario_series_pointwise(scenario) -> SimpleNamespace:
             conc[j] = takagi_concurrence(np.array(members).T * math.sqrt(0.5))
             e_av[j] = 0.5 * _schmidt_entropy(np.array(members)).sum()
     else:
-        initial = np.zeros(8, dtype=complex)
-        initial[[0, 6]] = 1.0 / math.sqrt(2.0)
-        generator = _exchange_generator(scenario.g)
         for j, t in enumerate(times):
-            branches = (_evolution(generator, t) @ initial).reshape(4, 2)  # (A-B, oscillator)
+            branches = exchange_state(scenario.g, t).reshape(4, 2)  # (A-B, oscillator)
             conc[j] = takagi_concurrence(branches)
             probs = np.sum(np.abs(branches) ** 2, axis=0)
             live = probs > 1e-12

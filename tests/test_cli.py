@@ -257,6 +257,16 @@ def test_nonfinite_exponent_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tau", ["1e155", "1e300"])
+def test_quasistatic_ou_tau_runs_as_static(tmp_path, tau):
+    # tau^2 overflows here; the OU recursion never forms it.
+    ou, static = tmp_path / "ou.csv", tmp_path / "static.csv"
+    assert main(f"--mode analytic --noise ou --sigma 1 --tau {tau} -o {ou}".split()) == 0
+    assert main(f"--mode analytic --noise static --sigma 1 -o {static}".split()) == 0
+    ou_cells, static_cells = (np.loadtxt(path, delimiter=",", skiprows=1) for path in (ou, static))
+    np.testing.assert_allclose(ou_cells, static_cells, rtol=1e-11, atol=0.0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "args",

@@ -349,6 +349,27 @@ def test_ou_recursion_nonfinite_raises():
         ou_exponents(NoiseModel.ou(1e150, 1e10), toggling_steps(FREE, grid), grid)
 
 
+@pytest.mark.parametrize("tau", [1e155, 1e300])
+def test_ou_recursion_quasistatic_tau_does_not_overflow(tau):
+    # tau^2 overflows above ~1.3e154; the recursion never forms it, and at
+    # these tau it is the static closed form to roundoff.
+    grid = TimeGrid(8.0, 801)
+    for protocol in (FREE, ECHO4, PulseProtocol.pdd(0.25)):
+        steps = toggling_steps(protocol, grid)
+        chi = ou_exponents(NoiseModel.ou(1.0, tau), steps, grid)
+        static = concurrence_static(1.0, steps, grid.dt)
+        np.testing.assert_allclose(np.exp(-chi), static, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("tau", [1e20, 1e100])
+def test_ou_exponent_is_never_negative(tau):
+    # At the echo refocus point the exact chi is 0; its roundoff went to -6e-15.
+    grid = TimeGrid(8.0, 801)
+    for protocol in (ECHO4, PulseProtocol.pdd(0.25), PulseProtocol.pdd(1.0)):
+        chi = ou_exponents(NoiseModel.ou(1.0, tau), toggling_steps(protocol, grid), grid)
+        assert np.min(chi) >= 0.0
+
+
 def test_spectral_panel_cap_raises():
     # Without the cap this asks for ~2.5e14 panels.
     with pytest.raises(NumericalError, match="panels"):

@@ -11,7 +11,6 @@ from entdyn.linalg import (
     PSI_PLUS,
     check_state_vector,
     projector,
-    tensor_product,
 )
 from entdyn.measures import (
     WeightedEnsemble,
@@ -23,6 +22,7 @@ from entdyn.measures import (
     eof_from_concurrence,
 )
 from oracles import (
+    _schmidt_entropy,
     eof_of_concurrence,
     hidden_entanglement,
     random_state,
@@ -101,7 +101,7 @@ def test_concurrence_mixed_local_unitary_invariance():
             p * np.outer(s, s.conj())
             for p, s in [(0.5, random_state(rng)), (0.5, random_state(rng))]
         )
-        u = tensor_product(random_unitary(rng, 2), random_unitary(rng, 2))
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = u @ rho @ u.conj().T
         assert concurrence_mixed(rotated) == pytest.approx(concurrence_mixed(rho), abs=1e-8)
 
@@ -149,12 +149,17 @@ def test_entropy_of_entanglement_partially_entangled():
 
 
 def test_entropy_equals_eof_of_pure_concurrence():
+    # The library takes the entropy as EoF(C_pure); the oracle takes it from
+    # the Schmidt coefficients. Near-product states probe the small-C end,
+    # where sqrt(1 - C^2) rounds away most of the entropy's digits.
     rng = np.random.default_rng(37)
-    for _ in range(1000):
-        psi = random_state(rng)
-        assert entropy_of_entanglement(psi) == pytest.approx(
-            eof_from_concurrence(concurrence_pure(psi)), abs=1e-9
-        )
+    generic = np.array([random_state(rng) for _ in range(1000)])
+    product = np.kron(random_unitary(rng, 2)[:, 0], random_unitary(rng, 2)[:, 0])
+    kicks = np.array([random_state(rng) for _ in range(200)])
+    near = product + np.geomspace(1e-12, 1e-2, 200)[:, None] * kicks
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    for states in (generic, near):
+        assert np.max(np.abs(entropy_of_entanglement(states) - _schmidt_entropy(states))) <= 1e-12
 
 
 def test_average_entanglement_bell_pair_mixture():

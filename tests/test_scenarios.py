@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from entdyn import linalg, measures
 from entdyn.grid import TimeGrid
-from entdyn.linalg import PHI_MINUS, PHI_PLUS, PSI_PLUS, partial_trace, projector
+from entdyn.linalg import PHI_MINUS, PHI_PLUS, PSI_PLUS, projector
 from entdyn.measures import (
     average_entanglement,
     concurrence_mixed,
@@ -18,11 +18,10 @@ from entdyn.scenarios import (
     RandomFieldScenario,
     jc_ensemble,
     jc_measures,
-    jc_state,
     random_field_ensemble,
     random_field_series,
 )
-from oracles import jc_closed_form, scenario_series_pointwise
+from oracles import exchange_state, jc_closed_form, reduced_state, scenario_series_pointwise
 
 RF = RandomFieldScenario(omega=1.0, grid=TimeGrid(2.0 * math.pi, 401))
 JC = JCScenario(g=1.0, grid=TimeGrid(2.0 * math.pi, 401))
@@ -73,42 +72,46 @@ def test_random_field_series_periodicity():
     assert np.max(np.abs(series.e_f[: half + 1] - series.e_f[half:])) <= 1e-9
 
 
+# The tripartite state comes from the generator route of the oracle; the
+# library builds only its measurement ensemble.
+
+
 def test_jc_state_initial():
-    psi = jc_state(JC, 0.0)
+    psi = exchange_state(JC.g, 0.0)
     expected = np.zeros(8, dtype=complex)
     expected[0] = expected[6] = 1.0 / math.sqrt(2.0)
     assert_allclose(psi, expected, atol=1e-15)
 
 
 def test_jc_state_at_swap():
-    psi = jc_state(JC, TBAR)
+    psi = exchange_state(JC.g, TBAR)
     expected = np.zeros(8, dtype=complex)
     expected[0] = 1.0 / math.sqrt(2.0)
     expected[3] = -1j / math.sqrt(2.0)
     assert_allclose(psi, expected, atol=1e-12)
     # qubit A fully disentangled
-    rho_a = partial_trace(projector(psi), 0, (2, 4))
+    rho_a = reduced_state(psi, 2)
     assert_allclose(rho_a, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
 
 def test_jc_state_entanglement_revival_at_two_tbar():
     # The excited branch returns with the 2 pi Rabi minus sign: the state at
     # 2 tbar is (|00> - |11>)/sqrt(2) x |0_O>, maximally entangled again.
-    psi = jc_state(JC, 2.0 * TBAR)
+    psi = exchange_state(JC.g, 2.0 * TBAR)
     expected = np.zeros(8, dtype=complex)
     expected[0], expected[6] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
     assert equal_up_to_phase(psi, expected)
-    rho_ab = partial_trace(projector(psi), 0, (4, 2))
-    assert concurrence_mixed(rho_ab) == pytest.approx(1.0, abs=1e-12)
+    assert concurrence_mixed(reduced_state(psi, 4)) == pytest.approx(1.0, abs=1e-12)
+    assert concurrence_mixed(jc_ensemble(JC, 2.0 * TBAR).density_matrix()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jc_state_full_period():
-    assert equal_up_to_phase(jc_state(JC, 4.0 * TBAR), jc_state(JC, 0.0))
+    assert equal_up_to_phase(exchange_state(JC.g, 4.0 * TBAR), exchange_state(JC.g, 0.0))
 
 
 def test_jc_state_normalized_on_grid():
     for t in JC.grid.times[::25]:
-        assert abs(np.linalg.norm(jc_state(JC, float(t))) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(exchange_state(JC.g, float(t))) - 1.0) <= 1e-12
 
 
 def test_jc_ensemble_initial():
@@ -135,7 +138,7 @@ def test_jc_ensemble_probabilities():
 def test_jc_ensemble_reproduces_traced_state():
     # the one-photon branch phase must cancel between the two routes
     for t in np.linspace(0.0, 2.0 * math.pi, 41):
-        rho_traced = partial_trace(projector(jc_state(JC, float(t))), 0, (4, 2))
+        rho_traced = reduced_state(exchange_state(JC.g, float(t)), 4)
         rho_ensemble = jc_ensemble(JC, float(t)).density_matrix()
         assert np.max(np.abs(rho_traced - rho_ensemble)) <= 1e-9
 
@@ -180,15 +183,15 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         JCScenario(g=-1.0, grid=JC.grid)
     with pytest.raises(ValueError):
-        jc_state(JC, -0.1)
+        jc_ensemble(JC, -0.1)
 
 
-@pytest.mark.parametrize("state_of, scenario", [(jc_state, JC), (jc_ensemble, JC), (random_field_ensemble, RF)])
-def test_nan_time_is_rejected(state_of, scenario):
+@pytest.mark.parametrize("ensemble_of, scenario", [(jc_ensemble, JC), (random_field_ensemble, RF)])
+def test_nan_time_is_rejected(ensemble_of, scenario):
     times = scenario.grid.times.copy()
     times[3] = np.nan
     with pytest.raises(ValueError, match="time must be nonnegative, got nan"):
-        state_of(scenario, times)
+        ensemble_of(scenario, times)
 
 
 SCENARIOS = {
@@ -236,7 +239,8 @@ def test_measures_run_once_per_block(monkeypatch, name):
     assert wootters == [(4096, 4, 4), (1, 4, 4)]
     assert eigen == [(4096, 4, 4), (1, 4, 4)]
     assert entropy == [(4096, 2, 4), (1, 2, 4)]
-    assert eof == [(4097,)]
+    # the members' entropies per block, then E_f over the whole series
+    assert eof == [(4096, 2), (1, 2), (4097,)]
 
 
 @pytest.mark.parametrize("ensemble_of, scenario", [(random_field_ensemble, RF), (jc_ensemble, JC)])
