@@ -275,19 +275,23 @@ def ou_exponents(noise: NoiseModel, steps, grid: TimeGrid) -> np.ndarray:
     adds sigma^2 (y A tau d + tau^2 (x - d)) to chi and maps A to
     (1 - d) A + y tau d. The two tau terms are taken as L (d/x) and
     L^2 (x - d)/x^2, so no tau^2 is formed and a quasistatic tau does not
-    overflow. chi is a variance: its roundoff below 0 is floored at 0.
+    overflow. Where x overflows (a subnormal tau) both terms are 0, the
+    white-noise limit sigma^2 tau t of chi. chi is a variance: its roundoff below 0 is floored at 0.
     Raises NumericalError when chi is not finite.
     """
     if noise.kind != ORNSTEIN_UHLENBECK:
         raise ValueError("the OU recursion is defined for OU noise only")
     length = np.diff(grid.times)
-    x = length / noise.tau
+    with np.errstate(over="ignore"):
+        x = length / noise.tau
+    white = np.isinf(x)  # a subnormal tau: the white-noise limit, where both terms vanish
     d = -np.expm1(-x)
     small = x < _SERIES_X
     xs = x[small]
-    x_direct = np.where(small, 1.0, x)
+    x_direct = np.where(small | white, 1.0, x)
     decay = d / x_direct
     excess = (x - d) / x_direct / x_direct
+    decay[white] = excess[white] = 0.0
     decay[small] = 1.0 - xs * (0.5 - xs * (1 / 6 - xs * (1 / 24 - xs / 120)))
     excess[small] = 0.5 - xs * (1 / 6 - xs * (1 / 24 - xs * (1 / 120 - xs / 720)))
     chis = np.empty(grid.n_points)

@@ -17,21 +17,26 @@ structure allows:
   every m(t_j) is gathered (conjugated where s_j >= 0). No per-point phase
   is formed, and m = 1 exactly where s_j = 0. The tables are real cos and
   sin tables in buffers that each worker thread keeps from batch to batch.
-- OU noise: one pass along the time axis, _ROWS grid rows at a time. Each
-  chunk hashes its counters into Gaussians, continues the OU recursion from
-  the row before (`noise.ou_chunk`), continues the running phase sum from
-  the carried last rows (`_phase_block`) and takes real cos and sin sums
-  over each row. Every chunk is drawn into the same two (_ROWS, batch)
-  buffers, small enough to stay in cache, and no (n_points, batch) array is
-  formed: the memory per batch is O(batch x _ROWS), whatever the number of
-  grid points, and every value is the one a single whole-grid pass gives,
-  bit for bit.
+- OU noise: one pass along the time axis, _ROWS grid rows at a time. The
+  OU recursion and the trapezoid phase sum are linear in a chunk's
+  Gaussians and in the path and phase at the row before it, so each chunk
+  is one small float64 matrix (`_ou_maps`), built once per run and read by
+  every worker. Each chunk hashes its counters into Gaussians
+  (`noise.gaussian_block`), applies its map in one product
+  (`_phase_block`) and takes float32 cos and sin sums over each row; the
+  batch sums are float64. Every chunk is drawn into the same two small
+  buffers and no (n_points, batch) array is formed: the memory per batch
+  is O(batch x _ROWS), whatever the number of grid points. The phases are
+  those of the step-by-step recursion to float64 roundoff, and m is within
+  ~1e-6 of a float64 exp-and-sum of them for sigma tmax up to 80; larger
+  phases lose more in the float32 rounding of phi/2.
 
 Both kernels take cos and sin from one tangent of the half angle
 (`noise._half_angle`): with t = tan(phi/2) and w = 2 / (1 + t^2),
-cos phi = w - 1 and sin phi = t w. numpy's float64 tan is vectorized, its cos
-and sin are not, so this is the cheaper way to the same values (within
-~3e-16 absolute).
+cos phi = w - 1 and sin phi = t w. numpy's tan is vectorized, its float64
+cos and sin are not, so this is the cheaper way to the same values: within
+~3e-16 absolute in the static kernel's float64, and a few float32 ulps in
+the OU kernel, where the tangent costs under 1 ns per element.
 
 The averaged state is the initial pure state v with its coherences across
 the sz_A blocks scaled by m(t): a one-sided channel, so its concurrence
@@ -43,7 +48,8 @@ propagators and the pulse unitaries to each trajectory's state.
 
 Determinism contract: trajectories are keyed by (master_seed, index), batch
 boundaries are fixed, and batch results are reduced in index order, so the
-output is bit-identical for any worker count.
+output is bit-identical for any worker count. No BLAS product sums over
+more than _BLOCK terms, so the BLAS thread count does not change it either.
 """
 
 from __future__ import annotations
@@ -60,12 +66,21 @@ from .filters import NumericalError
 from .grid import TimeGrid
 from .linalg import PHI_PLUS, check_state_vector
 from .measures import concurrence_pure, eof_from_concurrence
-from .noise import STATIC, NoiseModel, _half_angle, ou_chunk, sample_block, trajectory_seed
+from .noise import (
+    STATIC,
+    NoiseModel,
+    _float32_rows,
+    _half_angle,
+    gaussian_block,
+    sample_block,
+    trajectory_seed,
+)
 from .pulses import PulseProtocol, toggling_steps
 from .series import EntanglementSeries
 
 WORKERS_ENV = "ENTDYN_WORKERS"
 _BATCH = 8192
+_BLOCK = 256  # trajectories per product block of the static tables
 _ROWS = 8  # time rows per chunk of the OU pass; even, as gaussian_block needs
 
 
@@ -86,75 +101,95 @@ class DephasingRun:
         self.initial_state = check_state_vector(self.initial_state, dim=4)
 
 
-class _PhaseCarry:
-    """State of the phase pass after the rows it has seen: the next grid row,
-    the last eps row and the last phi row (copies, so the caller may reuse
-    each chunk), plus one scratch row for the increments."""
+def _ou_maps(noise: NoiseModel, grid: TimeGrid, steps: np.ndarray, rows: int) -> list[np.ndarray]:
+    """The OU pass as one linear map per chunk of ``rows`` grid rows.
 
-    def __init__(self, n_traj: int):
-        self.row = 0
-        self.eps = np.zeros(n_traj)
-        self.phi = np.zeros(n_traj)
-        self.incr = np.empty(n_traj)
-
-
-def _phase_block(eps: np.ndarray, grid: TimeGrid, steps: np.ndarray,
-                 carry: _PhaseCarry | None = None) -> np.ndarray:
-    """phi(t_j) = int_0^{t_j} y eps dt' for each column of the time-major
-    eps, trapezoidal in eps and exact in y; eps is overwritten with phi and
-    returned.
-
-    The toggling sign y_{j-1} = s_j - s_{j-1} (``steps`` from
+    A chunk's input is [eps_prev; phi_prev; z_0 .. z_{c-1}]: the OU path and
+    the phase at the row before the chunk, then the chunk's c standard
+    normals. Its output is [phi_0 .. phi_{c-1}; eps_{c-1}]. Both steps are
+    linear: the exact OU update eps_i = alpha eps_{i-1} + q z_i, with
+    alpha = exp(-dt/tau) and q = sigma sqrt(1 - alpha^2) (eps_0 = sigma z_0
+    at grid row 0), and the trapezoid sum
+    phi_j = phi_{j-1} + (dt/2) y_{j-1} (eps_{j-1} + eps_j), where the
+    toggling sign y_{j-1} = s_j - s_{j-1} (``steps`` from
     `pulses.toggling_steps`) is constant on the grid interval that ends at
-    row j, so one running sum over the contiguous time rows gives
-    phi_j = phi_{j-1} + (dt/2) y_{j-1} (eps_{j-1} + eps_j), with a zero
-    coefficient at row 0, where phi = 0.
-
-    The rows of eps are grid rows carry.row, carry.row + 1, ...; ``carry``
-    holds the state after the rows before them and is advanced past these.
-    Without a carry, eps is the whole grid. Chunks passed in order with one
-    carry give the phases of one whole-grid call, bit for bit.
+    row j and phi_0 = 0. So the chunk is one (c + 1) x (c + 2) matrix; the
+    last chunk may be shorter. Every chunk but the first and the last has
+    the same OU part and differs only in its signs.
     """
-    carry = _PhaseCarry(eps.shape[1]) if carry is None else carry
-    rows = np.arange(carry.row, carry.row + len(eps))
-    coefs = (0.5 * grid.dt * (steps[rows] - steps[np.maximum(rows - 1, 0)])).tolist()
-    phi = carry.phi
-    for row, coef in zip(eps, coefs):
-        np.add(carry.eps, row, out=carry.incr)
-        carry.eps[:] = row
-        carry.incr *= coef
-        np.add(phi, carry.incr, out=row)
-        phi = row
-    carry.phi[:] = phi
-    carry.row += len(eps)
-    return eps
+    alpha = math.exp(-grid.dt / noise.tau)
+    q = noise.sigma * math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    n_chunks = -(-grid.n_points // rows)
+    # coef[k, i] = (dt/2) y at chunk k's row i; 0 at grid row 0 and past the grid
+    coef = np.zeros(n_chunks * rows)
+    coef[1 : grid.n_points] = 0.5 * grid.dt * np.diff(steps)
+    coef = coef.reshape(n_chunks, rows)
+    # eps[f, l]: the coefficients of the path at chunk row l - 1 over the
+    # chunk's inputs (row 0 is eps_prev itself), for the first chunk (f = 0)
+    # and for every later one (f = 1).
+    lag = np.arange(rows)[:, None] - np.arange(rows)
+    powers = alpha ** np.arange(rows + 1)
+    eps = np.zeros((2, rows + 1, rows + 2))
+    eps[:, 0, 0] = 1.0
+    eps[1, 1:, 0] = powers[1:]
+    eps[:, 1:, 2:] = np.where(lag >= 0, q * powers[np.maximum(lag, 0)], 0.0)
+    eps[0, 1:, 2] = noise.sigma * powers[:-1]
+    # Later chunks with the same signs share one map, so the maps take
+    # memory per distinct sign pattern, not per grid row.
+    signs, index = np.unique(coef[1:], axis=0, return_inverse=True)
+    kind = eps[np.minimum(np.arange(len(signs) + 1), 1)]
+    coef = np.concatenate([coef[:1], signs])[:, :, None]
+    unique = np.empty_like(kind)
+    unique[:, :-1] = np.cumsum(coef * (kind[:, :-1] + kind[:, 1:]), axis=1)
+    unique[:, :-1, 1] += 1.0
+    unique[:, -1] = kind[:, -1]
+    maps = [unique[0]] + [unique[1 + i] for i in index.ravel().tolist()]
+    tail = grid.n_points - (n_chunks - 1) * rows
+    if tail < rows:
+        last = maps[-1][:, : tail + 2]
+        maps[-1] = np.concatenate([last[:tail], kind[-1, tail : tail + 1, : tail + 2]])
+    return maps
 
 
-def _ou_sums(run: DephasingRun, keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def _phase_block(ou_map: np.ndarray, chunk: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One chunk of the OU pass: ``out`` = ``ou_map`` @ ``chunk``, that is
+    [phi rows; last eps row] from [eps_prev; phi_prev; Gaussian rows], for
+    one map of `_ou_maps` and every path at once."""
+    return np.matmul(ou_map, chunk, out=out)
+
+
+def _ou_sums(keys: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
     """sum_k exp(-i phi[j, k]) for each grid row j over the OU paths of
-    ``keys``, _ROWS rows at a time: Gaussians, OU recursion, the phase and
-    real cos and sin row sums per chunk, from t = tan(phi/2) and
-    w = 2 / (1 + t^2): sum cos = sum w - n and sum sin = sum t w."""
-    grid = run.grid
-    sums = np.empty(grid.n_points, dtype=complex)
-    last = np.empty(keys.size)
-    carry = _PhaseCarry(keys.size)
-    # Every chunk is drawn into these two buffers (weights is the Gaussians'
-    # scratch until the reduction needs it), with an even row count for the
-    # Box-Muller pairs of gaussian_block.
-    rows = min(_ROWS, 2 * ((grid.n_points + 1) // 2))
-    chunk = np.empty((rows, keys.size))
-    weights = np.empty((rows, keys.size))
-    for start in range(0, grid.n_points, _ROWS):
-        stop = min(start + _ROWS, grid.n_points)
-        eps = ou_chunk(run.noise, keys, grid, start, stop - start, last, chunk, weights)
-        _phase_block(eps, grid, steps, carry)  # in place: eps is phi now
-        eps *= 0.5
-        w = weights[: stop - start]
-        _half_angle(eps, w)  # eps is tan(phi/2) now
-        sums.real[start:stop] = w.sum(axis=1) - keys.size
-        eps *= w
-        sums.imag[start:stop] = -eps.sum(axis=1)
+    ``keys``, one chunk of rows per map of `_ou_maps`: Gaussians, the map,
+    then float32 cos and sin row sums of each phase row, from t = tan(phi/2)
+    and w = 2 / (1 + t^2): sum cos = sum w - n and sum sin = sum t w.
+
+    Every chunk is drawn into the same two float64 buffers. The Gaussians'
+    hash runs in the map's input rows with its output rows as scratch, and
+    the float32 pair (t, w) lives in the input's Gaussian rows once the map
+    has been applied, so the working set is that of the two buffers."""
+    rows = 2 * (len(maps[0]) // 2)  # the longest chunk, rounded up to even
+    n_points = sum(len(m) - 1 for m in maps)
+    sums = np.empty(n_points, dtype=complex)
+    chunk = np.zeros((rows + 2, keys.size))  # [eps_prev; phi_prev; Gaussians]
+    phase = np.empty((rows + 1, keys.size))  # [phi rows; last eps row]
+    t_all = _float32_rows(chunk[2:], rows)
+    w_all = _float32_rows(chunk[2 + rows // 2 :], rows)
+    start = 0
+    for ou_map in maps:
+        count = len(ou_map) - 1
+        gaussian_block(keys, count, start, chunk[2:], phase)
+        phi = _phase_block(ou_map, chunk[: count + 2], phase[: count + 1])
+        chunk[0] = phi[count]
+        chunk[1] = phi[count - 1]
+        t, w = t_all[:count], w_all[:count]
+        np.multiply(phi[:count], 0.5, out=t, casting="same_kind")
+        _half_angle(t, w)  # t is tan(phi/2) now
+        sums.real[start : start + count] = w.sum(axis=1)
+        t *= w
+        sums.imag[start : start + count] = -t.sum(axis=1)
+        start += count
+    sums.real -= keys.size
     return sums
 
 
@@ -165,20 +200,27 @@ def _static_table(x: np.ndarray, width: int, height: int, tables: list) -> np.nd
     ensemble sum at any step count a = q width + r is one product of two
     small tables of exp(i x_k r) and exp(i x_k q width), taken here as real
     cos and sin tables: T = (Ca^T Cb - Sa^T Sb) + i (Ca^T Sb + Sa^T Cb).
-    ``tables`` holds the four float buffers [Ca, Sa, Cb, Sb], of shapes
-    (>= len(x), width) and (>= len(x), height); their leading rows are
-    overwritten.
+    The products run over blocks of _BLOCK trajectories, summed in block
+    order: a BLAS product splits a longer sum at places that depend on its
+    thread count, and the sums with it. ``tables`` holds the four float
+    buffers [Ca, Sa, Cb, Sb], of shapes (>= K, width) and (>= K, height)
+    with K = len(x) rounded up to a multiple of _BLOCK; their leading K rows
+    are overwritten, with zeros past len(x).
     """
-    ca, sa, cb, sb = (table[: x.size] for table in tables)
+    blocks = -(-x.size // _BLOCK)
+    ca, sa, cb, sb = (table[: blocks * _BLOCK] for table in tables)
     half_x = 0.5 * x
     for cos, sin, counts in ((ca, sa, np.arange(width)), (cb, sb, width * np.arange(height))):
-        np.multiply.outer(half_x, counts, out=sin)
-        _half_angle(sin, cos)  # sin holds tan(x a / 2), cos the weight w
+        np.multiply.outer(half_x, counts, out=sin[: x.size])
+        _half_angle(sin[: x.size], cos[: x.size])  # sin holds tan(x a / 2), cos the weight w
         sin *= cos
         cos -= 1.0
+        cos[x.size :] = sin[x.size :] = 0.0
+    ca, sa, cb, sb = (t.reshape(blocks, _BLOCK, -1) for t in (ca, sa, cb, sb))
+    ca, sa = ca.transpose(0, 2, 1), sa.transpose(0, 2, 1)
     total = np.empty((width, height), dtype=complex)
-    total.real = ca.T @ cb - sa.T @ sb
-    total.imag = ca.T @ sb + sa.T @ cb
+    total.real = (ca @ cb).sum(axis=0) - (sa @ sb).sum(axis=0)
+    total.imag = (ca @ sb).sum(axis=0) + (sa @ cb).sum(axis=0)
     return total
 
 
@@ -212,6 +254,9 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
     """Ensemble mean of exp(-i phi(t)) over all trajectories, shape (n_points,)."""
     steps = toggling_steps(run.protocol, run.grid)
     static = run.noise.kind == STATIC
+    if not static:  # one set of maps, read by every batch
+        with np.errstate(over="ignore", invalid="ignore"):  # run() checks m(t)
+            maps = _ou_maps(run.noise, run.grid, steps, min(_ROWS, run.grid.n_points))
     # Static tables: m(t_j) from T[a_j % width, a_j // width], a_j = |s_j|.
     counts = np.abs(steps)
     width = math.isqrt(int(counts.max())) + 1
@@ -226,11 +271,11 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
         with np.errstate(over="ignore", invalid="ignore"):  # run() checks m(t)
             if static:
                 if not hasattr(worker, "tables"):
-                    rows = min(_BATCH, run.n_traj)
+                    rows = -(-min(_BATCH, run.n_traj) // _BLOCK) * _BLOCK
                     worker.tables = [np.empty((rows, n)) for n in (width, width, height, height)]
                 eps = sample_block(run.noise, run.master_seed, indices, run.grid)
                 return _static_table(run.grid.dt * eps[:, 0], width, height, worker.tables)
-            return _ou_sums(run, trajectory_seed(run.master_seed, indices), steps)
+            return _ou_sums(trajectory_seed(run.master_seed, indices), maps)
 
     partial = _map_batches(one_batch, run.n_traj, resolve_workers(workers))
     total = np.zeros_like(partial[0])

@@ -4,15 +4,16 @@ sigma^2 exp(-|dt|/tau) (Lorentzian power spectrum).
 
 Sampling is counter-based: every (seed, sample index) pair maps through a
 splitmix64-style mixing function to an independent uniform, and Gaussians come
-from Box-Muller on that stream. Box-Muller takes the cos and sin of its angle
-2 pi u from one tangent, tan(pi u), by the half-angle identity (`_half_angle`,
-which the Monte Carlo reduction uses too). There is no generator state, so
-results are byte-identical for a given (model, seed, grid) regardless of
-batching, thread count, call order, or how the time axis is cut into chunks:
-any run of counters starting at an even one can be drawn on its own, and the
-OU recursion continues from the last row of the chunk before. The Monte Carlo
-draws OU paths a few time rows at a time (`ou_chunk`), so its memory per batch
-does not grow with the number of grid points.
+from Box-Muller on that stream, in float32. Box-Muller takes the cos and sin
+of its angle 2 pi u from one tangent, tan(pi u), by the half-angle identity
+(`_half_angle`, which the Monte Carlo reduction uses too). There is no
+generator state, so results are byte-identical for a given (model, seed,
+grid) regardless of batching, thread count, call order, or how the time
+axis is cut into chunks: any run of counters starting at an even one can be
+drawn on its own. The Monte Carlo draws the Gaussians a few time rows at a
+time and applies the OU recursion itself, as one linear map per chunk
+(`mc._ou_maps`); `ou_chunk` runs the recursion step by step for
+`sample_block`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX_1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_2 = _U64(0x94D049BB133111EB)
-_TWO_NEG53 = 2.0 ** -53
+_TWO_NEG53 = np.float32(2.0**-53)
+_PI = np.float32(math.pi)
 _HASH_ROWS = 16  # counters hashed per chunk: ~1 MB of uint64 per 8192 streams
 
 
@@ -105,38 +107,51 @@ def trajectory_seed(master_seed: int, index) -> np.ndarray:
     return keys.reshape(index.shape)
 
 
+def _float32_rows(buf: np.ndarray, rows: int) -> np.ndarray:
+    """float32 view, shape (rows, buf.shape[1]), of the leading bytes of the
+    C-ordered 8-byte array ``buf``, which holds up to 2 len(buf) such rows."""
+    return buf.reshape(-1).view(np.float32)[: rows * buf.shape[1]].reshape(rows, -1)
+
+
 def _uniforms(keys: np.ndarray, count: int, start: int, out: np.ndarray | None = None,
               scratch: np.ndarray | None = None) -> np.ndarray:
-    """Open-below uniforms in (0, 1], shape (count, len(keys)): row c holds
-    counter start + c of every stream, written into ``out`` when given
-    (float64, that shape). Hashed a few rows at a time in the leading rows of
-    ``scratch`` (float64, len(keys) columns) or of a new array of up to
-    _HASH_ROWS rows, with the output rows as the hash's other temporary, so
-    the temporaries stay small and in cache."""
-    u = np.empty((count, keys.size)) if out is None else out
+    """Open-below float32 uniforms in (0, 1], shape (count, len(keys)): row c
+    holds counter start + c of every stream. The top 53 bits k of each hash
+    give (k + 1) 2^-53, with k + 1 rounded once to float32 and the power of
+    two applied exactly, so the smallest uniform is 2^-53.
+
+    ``out`` and ``scratch`` are C-ordered 8-byte arrays with len(keys)
+    columns, of at least count and count / 2 rows; new ones when not given.
+    The hash runs in the rows of ``out``, a few at a time, with the leading
+    rows of ``scratch`` as its other temporary, and the uniforms are written
+    into the leading bytes of ``scratch`` (`_float32_rows`), so the
+    temporaries stay small and in cache."""
+    bits = np.empty((count, keys.size), np.uint64) if out is None else out[:count].view(np.uint64)
     if scratch is None:
-        scratch = np.empty((min(count, _HASH_ROWS), keys.size))
+        scratch = np.empty(((count + 1) // 2, keys.size))
     rows = max(1, min(count, _HASH_ROWS, len(scratch)))
     counters = np.arange(start + 1, start + count + 1, dtype=np.uint64) * _GOLDEN
     for c in range(0, count, rows):
-        block = u[c : c + rows]
-        bits = scratch[: len(block)].view(np.uint64)
-        np.add(counters[c : c + rows, None], keys, out=bits)
-        _mix64(bits, block.view(np.uint64))
-        bits >>= _U64(11)
-        np.add(bits, 1.0, out=block)
-        block *= _TWO_NEG53
+        block = bits[c : c + rows]
+        np.add(counters[c : c + rows, None], keys, out=block)
+        _mix64(block, scratch[: len(block)].view(np.uint64))
+    bits >>= _U64(11)
+    bits += _U64(1)
+    u = _float32_rows(scratch, count)
+    np.copyto(u, bits.view(np.int64), casting="unsafe")  # k + 1 <= 2^53: one rounding
+    u *= _TWO_NEG53
     return u
 
 
 def _half_angle(h: np.ndarray, w: np.ndarray) -> None:
     """In place: h <- t = tan h and w <- 2 / (1 + t^2), so that
-    cos 2h = w - 1 and sin 2h = t w.
+    cos 2h = w - 1 and sin 2h = t w, in the float type of h and w.
 
     numpy computes float64 cos and sin with scalar libm calls (~25 ns per
-    element); its tan is vectorized (~3 ns), so one tangent and a few
-    arithmetic passes replace both. cos and sin come out within ~3e-16
-    absolute of libm for |2h| up to 1e12, and exactly (1, 0) at h = 0.
+    element); its tan is vectorized (~3 ns in float64, under 1 ns in
+    float32), so one tangent and a few arithmetic passes replace both. In
+    float64, cos and sin come out within ~3e-16 absolute of libm for |2h| up
+    to 1e12, and exactly (1, 0) at h = 0.
     """
     np.tan(h, out=h)
     np.multiply(h, h, out=w)
@@ -148,6 +163,10 @@ def gaussian_block(keys, count: int, start: int = 0, out: np.ndarray | None = No
                    scratch: np.ndarray | None = None) -> np.ndarray:
     """Standard normals start .. start + count - 1 of each stream, shape
     (len(keys), count), by Box-Muller per stream.
+
+    The values are float32 Box-Muller results held in float64: the log,
+    sqrt and half-angle tangent run in float32 on the float32 `_uniforms`,
+    whose 2^-53 floor keeps an 8.6 sigma tail.
 
     ``start`` must be even, so that Box-Muller pairs the same counters as a
     block drawn from 0: any run of rows equals the same rows of one long
@@ -165,18 +184,21 @@ def gaussian_block(keys, count: int, start: int = 0, out: np.ndarray | None = No
         raise ValueError(f"start must be even, got {start!r}")
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
     pairs = 2 * ((count + 1) // 2)
-    z = _uniforms(keys, pairs, start, None if out is None else out[:pairs], scratch)
-    r, t = z[0::2], z[1::2]  # in place: z -> (r cos 2 pi u, r sin 2 pi u)
+    z = np.empty((pairs, keys.size)) if out is None else out[:pairs]
+    u = _uniforms(keys, pairs, start, z, scratch)
+    r, t = u[0::2], u[1::2]  # in place: (r, t) -> (r cos 2 pi u, r sin 2 pi u)
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    t *= np.pi
-    w = np.empty_like(t) if scratch is None else scratch[: len(t)]
+    t *= _PI
+    w = _float32_rows(z, len(t))  # the hash bits in z are spent
     _half_angle(t, w)
     t *= w
     t *= r
     w -= 1.0
     r *= w
+    z[0::2] = r
+    z[1::2] = t
     return z[:count].T
 
 
@@ -185,33 +207,24 @@ def _static_block(model: NoiseModel, keys) -> np.ndarray:
     return model.sigma * gaussian_block(keys, 1)[:, 0]
 
 
-def ou_chunk(model: NoiseModel, keys, grid: TimeGrid, start: int, count: int,
-             last: np.ndarray, out: np.ndarray | None = None,
-             scratch: np.ndarray | None = None) -> np.ndarray:
-    """Stationary OU paths at grid rows start .. start + count - 1, time-major:
-    shape (count, len(keys)), exact discretization.
+def ou_chunk(model: NoiseModel, keys, grid: TimeGrid) -> np.ndarray:
+    """Stationary OU paths at every grid row, time-major: shape
+    (n_points, len(keys)), exact discretization.
 
     eps_0 ~ N(0, sigma^2); eps_{j+1} = alpha eps_j + sigma sqrt(1 - alpha^2) z,
     alpha = exp(-dt/tau). Exact in distribution at the grid points, so there
-    is no time-step bias. The recursion runs in place over the contiguous
-    rows of a `gaussian_block` (``start`` even; ``out`` and ``scratch`` as
-    there). It continues from ``last``, the paths at row start - 1 (unused at
-    start 0), and leaves this chunk's last row there, so consecutive chunks
-    give the rows of one block bit for bit while the caller reuses or
-    overwrites each chunk.
+    is no time-step bias. The recursion runs row by row in place over one
+    `gaussian_block`. Only `sample_block` calls this: the Monte Carlo applies
+    the same recursion as one linear map per chunk of rows
+    (`mc._ou_maps`). ROADMAP item 4 moves it to the test oracles.
     """
-    eps = gaussian_block(keys, count, start, out, scratch).T
+    eps = gaussian_block(keys, grid.n_points).T
     alpha = math.exp(-grid.dt / model.tau)
     q = model.sigma * math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    carried = np.empty_like(last)
-    for i, row in enumerate(eps):
-        if start + i == 0:
-            row *= model.sigma
-            continue
+    eps[0] *= model.sigma
+    for prev, row in zip(eps[:-1], eps[1:]):
         row *= q
-        np.multiply(eps[i - 1] if i else last, alpha, out=carried)
-        row += carried
-    last[:] = eps[-1]
+        row += alpha * prev
     return eps
 
 
@@ -222,10 +235,9 @@ def sample_block(model: NoiseModel, master_seed: int, indices, grid: TimeGrid) -
     subset or order of indices reproduces the same rows bit for bit. Static
     paths are a read-only broadcast view of one offset per row; OU paths are
     one `ou_chunk` over the whole grid, transposed, so ``.T`` has contiguous
-    rows. The Monte Carlo does not call this for OU noise: it draws the same
-    rows chunk by chunk.
+    rows.
     """
     keys = trajectory_seed(master_seed, indices)
     if model.kind == STATIC:
         return np.broadcast_to(_static_block(model, keys)[:, None], (keys.size, grid.n_points))
-    return ou_chunk(model, keys, grid, 0, grid.n_points, np.empty(keys.size)).T
+    return ou_chunk(model, keys, grid).T

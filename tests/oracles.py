@@ -7,9 +7,10 @@ via time-domain double integrals of the autocorrelation instead of spectral
 quadrature, the toggling transform summed directly in test code, pulse grid
 indices rounded from the pulse times instead of the toggling step counts,
 Gaussians, OU paths and the coherence m(t) along the trajectory-major
-layout and complex exp-and-sum the Monte Carlo kernels replace, and the
-Monte Carlo measures via a stepwise propagator on each trajectory's
-state instead of the closed forms |m| C(v) and EoF(C(v)), and the two
+layout, with the step-by-step recursions and the float64 complex
+exp-and-sum that the Monte Carlo kernels replace by linear maps and float32
+sums, and the Monte Carlo measures via a stepwise propagator on each
+trajectory's state instead of the closed forms |m| C(v) and EoF(C(v)), and the two
 scenarios point by point from matrix exponentials of their generators,
 with the Wootters lambdas as singular values of the members' spin-flip
 overlaps and Schmidt-coefficient entropies instead of the stacked
@@ -34,7 +35,6 @@ import numpy as np
 
 from entdyn import noise, pulses
 from entdyn.linalg import PHI_PLUS, SIGMA_X, SIGMA_Z
-from entdyn.mc import _phase_block
 from entdyn.measures import (
     WeightedEnsemble,
     average_entanglement,
@@ -343,28 +343,36 @@ def propagator_series(config) -> SimpleNamespace:
 
 def gaussian_rows(keys, count: int) -> np.ndarray:
     """Standard normals, shape (len(keys), count), by Box-Muller computed
-    stream by stream: the layout that `noise.gaussian_block` must reproduce
-    bit for bit."""
+    stream by stream in float32, as `noise.gaussian_block` runs it: the
+    layout that it must reproduce bit for bit. Each 53-bit integer k + 1 is
+    rounded once to float32 and scaled by 2^-53."""
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
     pairs = (count + 1) // 2
     counters = np.arange(2 * pairs, dtype=np.uint64)
     bits = noise._mix64(keys[:, None] + (counters[None, :] + np.uint64(1)) * noise._GOLDEN)
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    t = np.tan(np.pi * u[:, 1::2])  # half of the angle 2 pi u
-    w = 2.0 / (1.0 + t * t)
+    k1 = ((bits >> np.uint64(11)) + np.uint64(1)).astype(np.int64)
+    u = k1.astype(np.float32) * np.float32(2.0**-53)
+    r = np.sqrt(np.float32(-2.0) * np.log(u[:, 0::2]))
+    t = np.tan(np.float32(math.pi) * u[:, 1::2])  # half of the angle 2 pi u
+    w = np.float32(2.0) / (np.float32(1.0) + t * t)
     z = np.empty((keys.shape[0], 2 * pairs))
-    z[:, 0::2] = r * (w - 1.0)
+    z[:, 0::2] = r * (w - np.float32(1.0))
     z[:, 1::2] = r * (t * w)
     return z[:, :count]
 
 
 def noise_rows(model, keys, grid) -> np.ndarray:
     """Noise paths, shape (len(keys), n_points), one trajectory per row: the
-    static offset repeated, or the OU recursion run column by column."""
+    static offset repeated, or `ou_rows` of the oracle Gaussians."""
     if model.kind == noise.STATIC:
         return np.repeat(model.sigma * gaussian_rows(keys, 1), grid.n_points, axis=1)
-    z = gaussian_rows(keys, grid.n_points)
+    return ou_rows(model, gaussian_rows(keys, grid.n_points), grid)
+
+
+def ou_rows(model, z, grid) -> np.ndarray:
+    """OU paths from the standard normals z, shape (n_traj, n_points), the
+    recursion run column by column: eps_0 = sigma z_0,
+    eps_j = alpha eps_{j-1} + sigma sqrt(1 - alpha^2) z_j."""
     alpha = math.exp(-grid.dt / model.tau)
     q = model.sigma * math.sqrt(max(0.0, 1.0 - alpha * alpha))
     eps = np.empty_like(z)
@@ -385,17 +393,17 @@ def running_phase(eps, grid, steps) -> np.ndarray:
 
 
 def coherence_reference(config, batch: int = 8192) -> np.ndarray:
-    """m(t) = <exp(-i phi(t))> of a DephasingRun from trajectory-major noise
-    paths, the `mc._phase_block` phases of every trajectory and a complex
-    exp-and-sum per batch of ``batch`` trajectories."""
+    """m(t) = <exp(-i phi(t))> of a DephasingRun in float64 throughout, from
+    the oracle Gaussians: trajectory-major noise paths (`noise_rows`), their
+    `running_phase` and a complex exp-and-sum per batch of ``batch``
+    trajectories."""
     grid = config.grid
     steps = pulses.toggling_steps(config.protocol, grid)
     total = np.zeros(grid.n_points, dtype=complex)
     for k0 in range(0, config.n_traj, batch):
         keys = noise.trajectory_seed(config.master_seed, np.arange(k0, min(k0 + batch, config.n_traj)))
-        eps = noise_rows(config.noise, keys, grid)
-        phi = _phase_block(np.ascontiguousarray(eps.T), grid, steps)
-        total += np.exp(-1j * phi).sum(axis=1)
+        phi = running_phase(noise_rows(config.noise, keys, grid), grid, steps)
+        total += np.exp(-1j * phi).sum(axis=0)
     return total / config.n_traj
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -294,6 +295,38 @@ def test_ou_overflow_exits_3(tmp_path):
     assert result.stderr.count("\n") == 1
     assert result.stderr.startswith("entdyn: numerical failure:") and "not finite" in result.stderr
     assert not out.exists()
+
+
+def test_ou_phases_past_float32_exit_3(tmp_path):
+    # sigma = 1e300 leaves the OU paths and phases finite in float64, but
+    # phi / 2 overflows the float32 tangent stage: one line and exit 3, no
+    # RuntimeWarning.
+    out = tmp_path / "x.csv"
+    args = "--mode mc --noise ou --sigma 1e300 --tau 20 --tmax 8"
+    result = run_entdyn([*args.split(), "-o", str(out)], PYTHONWARNINGS="error")
+    assert result.returncode == cli.EXIT_NUMERICAL, result.stderr
+    assert result.stderr == "entdyn: numerical failure: Monte Carlo dephasing factor is not finite for sigma = 1e+300\n"
+    assert not out.exists()
+
+
+def test_analytic_subnormal_tau_is_white_noise_limit(tmp_path):
+    # x = dt / tau overflows: chi is sigma^2 tau t ~ 0 there, so C = 1,
+    # with exit 0 and no warning (every warning is an error here).
+    out = tmp_path / "x.csv"
+    args = "--mode analytic --noise ou --sigma 1 --tau 1e-320 --points 11"
+    assert main([*args.split(), "-o", str(out)]) == cli.EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 11 and all(row[2] == "1" for row in rows)
+
+
+def test_analytic_ou_pdd_csv_bytes_unchanged(tmp_path):
+    # The benchmark's analytic OU PDD run: a change to the white-noise
+    # guard of the OU recursion must leave every byte of its CSV alone.
+    out = tmp_path / "x.csv"
+    args = "--mode analytic --noise ou --sigma 1.0 --tau 20.0 --protocol pdd --dt-pulse 0.25 --tmax 8.0 --points 161"
+    assert main([*args.split(), "-o", str(out)]) == cli.EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "2fa341ad61aeffbeedc3e8d26ec8937c24e8b3d5806d9a5b919054700d098268"
 
 
 MODE_ARGS = {
