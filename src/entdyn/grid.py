@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+ON_GRID_TOL = 1e-9  # largest |t / dt - round(t / dt)| of a time on the grid
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -29,10 +31,10 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_points)
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
+    def index_of(self, t: float) -> int:
         """Grid index of time ``t``; raises if ``t`` is not on the grid."""
         ratio = t / self.dt
         idx = int(round(ratio))
-        if abs(ratio - idx) > tol or not 0 <= idx < self.n_points:
+        if abs(ratio - idx) > ON_GRID_TOL or not 0 <= idx < self.n_points:
             raise ValueError(f"time {t!r} is not on the grid (dt = {self.dt!r})")
         return idx

@@ -47,13 +47,13 @@ def check_state_vector(psi, dim: int | None = None) -> np.ndarray:
     return psi
 
 
-def check_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate square Hermitian matrices, shape (..., d, d), to the given entrywise tolerance."""
+def check_hermitian(m) -> np.ndarray:
+    """Validate square Hermitian matrices, shape (..., d, d), to HERMITIAN_TOL entrywise."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dev = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
-    if not dev <= tol:
+    if not dev <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
     return m
 

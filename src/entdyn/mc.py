@@ -102,7 +102,8 @@ class DephasingRun:
 
 
 def _ou_maps(noise: NoiseModel, grid: TimeGrid, steps: np.ndarray, rows: int) -> list[np.ndarray]:
-    """The OU pass as one linear map per chunk of ``rows`` grid rows.
+    """The OU pass as one linear map per chunk of ``rows`` grid rows; the
+    last chunk may be shorter.
 
     A chunk's input is [eps_prev; phi_prev; z_0 .. z_{c-1}]: the OU path and
     the phase at the row before the chunk, then the chunk's c standard
@@ -113,41 +114,33 @@ def _ou_maps(noise: NoiseModel, grid: TimeGrid, steps: np.ndarray, rows: int) ->
     phi_j = phi_{j-1} + (dt/2) y_{j-1} (eps_{j-1} + eps_j), where the
     toggling sign y_{j-1} = s_j - s_{j-1} (``steps`` from
     `pulses.toggling_steps`) is constant on the grid interval that ends at
-    row j and phi_0 = 0. So the chunk is one (c + 1) x (c + 2) matrix; the
-    last chunk may be shorter. Every chunk but the first and the last has
-    the same OU part and differs only in its signs.
+    row j and phi_0 = 0. So the chunk is one (c + 1) x (c + 2) matrix,
+    built by running both steps on the coefficient vectors of eps and phi
+    over the chunk's inputs. Chunks with the same signs share one map, so
+    the maps take memory per distinct sign pattern, not per grid row.
     """
     alpha = math.exp(-grid.dt / noise.tau)
     q = noise.sigma * math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    n_chunks = -(-grid.n_points // rows)
-    # coef[k, i] = (dt/2) y at chunk k's row i; 0 at grid row 0 and past the grid
-    coef = np.zeros(n_chunks * rows)
-    coef[1 : grid.n_points] = 0.5 * grid.dt * np.diff(steps)
-    coef = coef.reshape(n_chunks, rows)
-    # eps[f, l]: the coefficients of the path at chunk row l - 1 over the
-    # chunk's inputs (row 0 is eps_prev itself), for the first chunk (f = 0)
-    # and for every later one (f = 1).
-    lag = np.arange(rows)[:, None] - np.arange(rows)
-    powers = alpha ** np.arange(rows + 1)
-    eps = np.zeros((2, rows + 1, rows + 2))
-    eps[:, 0, 0] = 1.0
-    eps[1, 1:, 0] = powers[1:]
-    eps[:, 1:, 2:] = np.where(lag >= 0, q * powers[np.maximum(lag, 0)], 0.0)
-    eps[0, 1:, 2] = noise.sigma * powers[:-1]
-    # Later chunks with the same signs share one map, so the maps take
-    # memory per distinct sign pattern, not per grid row.
-    signs, index = np.unique(coef[1:], axis=0, return_inverse=True)
-    kind = eps[np.minimum(np.arange(len(signs) + 1), 1)]
-    coef = np.concatenate([coef[:1], signs])[:, :, None]
-    unique = np.empty_like(kind)
-    unique[:, :-1] = np.cumsum(coef * (kind[:, :-1] + kind[:, 1:]), axis=1)
-    unique[:, :-1, 1] += 1.0
-    unique[:, -1] = kind[:, -1]
-    maps = [unique[0]] + [unique[1 + i] for i in index.ravel().tolist()]
-    tail = grid.n_points - (n_chunks - 1) * rows
-    if tail < rows:
-        last = maps[-1][:, : tail + 2]
-        maps[-1] = np.concatenate([last[:tail], kind[-1, tail : tail + 1, : tail + 2]])
+    coef = np.zeros(grid.n_points)  # (dt/2) y at each grid row; 0 at row 0
+    np.multiply(np.diff(steps), 0.5 * grid.dt, out=coef[1:])
+    shared = {}
+    maps = []
+    for start in range(0, grid.n_points, rows):
+        signs = coef[start : start + rows]
+        key = (start == 0, signs.tobytes())
+        if key not in shared:
+            ou_map = np.empty((len(signs) + 1, len(signs) + 2))
+            eps, phi = np.eye(2, len(signs) + 2)  # eps_prev and phi_prev
+            for i, h in enumerate(signs.tolist()):
+                decay, kick = (0.0, noise.sigma) if start + i == 0 else (alpha, q)
+                new = decay * eps
+                new[i + 2] = kick
+                phi = phi + h * (eps + new)
+                ou_map[i] = phi
+                eps = new
+            ou_map[-1] = eps
+            shared[key] = ou_map
+        maps.append(shared[key])
     return maps
 
 
@@ -254,13 +247,13 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
     """Ensemble mean of exp(-i phi(t)) over all trajectories, shape (n_points,)."""
     steps = toggling_steps(run.protocol, run.grid)
     static = run.noise.kind == STATIC
-    if not static:  # one set of maps, read by every batch
+    if static:  # m(t_j) from T[a_j % width, a_j // width], a_j = |s_j|
+        counts = np.abs(steps)
+        width = math.isqrt(int(counts.max())) + 1
+        height = int(counts.max()) // width + 1
+    else:  # one set of maps, read by every batch
         with np.errstate(over="ignore", invalid="ignore"):  # run() checks m(t)
             maps = _ou_maps(run.noise, run.grid, steps, min(_ROWS, run.grid.n_points))
-    # Static tables: m(t_j) from T[a_j % width, a_j // width], a_j = |s_j|.
-    counts = np.abs(steps)
-    width = math.isqrt(int(counts.max())) + 1
-    height = int(counts.max()) // width + 1
 
     # Each worker thread keeps its static tables across its batches, so
     # their pages are faulted in once; no two running batches share them.

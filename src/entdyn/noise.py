@@ -10,10 +10,11 @@ of its angle 2 pi u from one tangent, tan(pi u), by the half-angle identity
 generator state, so results are byte-identical for a given (model, seed,
 grid) regardless of batching, thread count, call order, or how the time
 axis is cut into chunks: any run of counters starting at an even one can be
-drawn on its own. The Monte Carlo draws the Gaussians a few time rows at a
-time and applies the OU recursion itself, as one linear map per chunk
-(`mc._ou_maps`); `ou_chunk` runs the recursion step by step for
-`sample_block`.
+drawn on its own. `gaussian_block` returns them time-major, one counter of
+every stream per row. `sample_block` draws static noise, one offset per
+stream; the Monte Carlo applies the OU recursion itself, as one linear map
+per chunk of time rows (`mc._ou_maps`), to a few rows of Gaussians at a
+time.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ _MIX_1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_2 = _U64(0x94D049BB133111EB)
 _TWO_NEG53 = np.float32(2.0**-53)
 _PI = np.float32(math.pi)
-_HASH_ROWS = 16  # counters hashed per chunk: ~1 MB of uint64 per 8192 streams
 
 
 @dataclass(frozen=True)
@@ -121,20 +121,15 @@ def _uniforms(keys: np.ndarray, count: int, start: int, out: np.ndarray | None =
     two applied exactly, so the smallest uniform is 2^-53.
 
     ``out`` and ``scratch`` are C-ordered 8-byte arrays with len(keys)
-    columns, of at least count and count / 2 rows; new ones when not given.
-    The hash runs in the rows of ``out``, a few at a time, with the leading
-    rows of ``scratch`` as its other temporary, and the uniforms are written
-    into the leading bytes of ``scratch`` (`_float32_rows`), so the
-    temporaries stay small and in cache."""
+    columns, of at least count rows each; new ones when not given. The hash
+    runs in the rows of ``out`` with those of ``scratch`` as its other
+    temporary, and the uniforms are written into the leading bytes of
+    ``scratch`` (`_float32_rows`)."""
     bits = np.empty((count, keys.size), np.uint64) if out is None else out[:count].view(np.uint64)
-    if scratch is None:
-        scratch = np.empty(((count + 1) // 2, keys.size))
-    rows = max(1, min(count, _HASH_ROWS, len(scratch)))
+    scratch = np.empty((count, keys.size)) if scratch is None else scratch
     counters = np.arange(start + 1, start + count + 1, dtype=np.uint64) * _GOLDEN
-    for c in range(0, count, rows):
-        block = bits[c : c + rows]
-        np.add(counters[c : c + rows, None], keys, out=block)
-        _mix64(block, scratch[: len(block)].view(np.uint64))
+    np.add(counters[:, None], keys, out=bits)
+    _mix64(bits, scratch[:count].view(np.uint64))
     bits >>= _U64(11)
     bits += _U64(1)
     u = _float32_rows(scratch, count)
@@ -161,8 +156,9 @@ def _half_angle(h: np.ndarray, w: np.ndarray) -> None:
 
 def gaussian_block(keys, count: int, start: int = 0, out: np.ndarray | None = None,
                    scratch: np.ndarray | None = None) -> np.ndarray:
-    """Standard normals start .. start + count - 1 of each stream, shape
-    (len(keys), count), by Box-Muller per stream.
+    """Standard normals start .. start + count - 1 of each stream, time-major:
+    shape (count, len(keys)), C-ordered, row c holding counter start + c of
+    every stream, by Box-Muller per stream.
 
     The values are float32 Box-Muller results held in float64: the log,
     sqrt and half-angle tangent run in float32 on the float32 `_uniforms`,
@@ -170,15 +166,13 @@ def gaussian_block(keys, count: int, start: int = 0, out: np.ndarray | None = No
 
     ``start`` must be even, so that Box-Muller pairs the same counters as a
     block drawn from 0: any run of rows equals the same rows of one long
-    block, bit for bit. The result is the transpose of a C-ordered
-    (count, len(keys)) array, so its ``.T`` is time-major: each row holds one
-    counter of every stream, contiguously.
+    block, bit for bit.
 
     Buffers a caller reuses from block to block, all C-ordered float64 with
-    len(keys) columns; the values are the same with or without them:
-    ``out`` (at least count rows rounded up to even) takes the values in its
-    leading rows, and the result is a view of it; ``scratch`` (at least half
-    as many rows) is overwritten by the hash and Box-Muller temporaries.
+    len(keys) columns and at least count rows rounded up to even; the values
+    are the same with or without them: ``out`` takes the values in its
+    leading rows, and the result is a view of it; ``scratch`` is
+    overwritten by the hash and Box-Muller temporaries.
     """
     if start % 2:
         raise ValueError(f"start must be even, got {start!r}")
@@ -199,45 +193,20 @@ def gaussian_block(keys, count: int, start: int = 0, out: np.ndarray | None = No
     r *= w
     z[0::2] = r
     z[1::2] = t
-    return z[:count].T
-
-
-def _static_block(model: NoiseModel, keys) -> np.ndarray:
-    """One static offset per stream key."""
-    return model.sigma * gaussian_block(keys, 1)[:, 0]
-
-
-def ou_chunk(model: NoiseModel, keys, grid: TimeGrid) -> np.ndarray:
-    """Stationary OU paths at every grid row, time-major: shape
-    (n_points, len(keys)), exact discretization.
-
-    eps_0 ~ N(0, sigma^2); eps_{j+1} = alpha eps_j + sigma sqrt(1 - alpha^2) z,
-    alpha = exp(-dt/tau). Exact in distribution at the grid points, so there
-    is no time-step bias. The recursion runs row by row in place over one
-    `gaussian_block`. Only `sample_block` calls this: the Monte Carlo applies
-    the same recursion as one linear map per chunk of rows
-    (`mc._ou_maps`). ROADMAP item 4 moves it to the test oracles.
-    """
-    eps = gaussian_block(keys, grid.n_points).T
-    alpha = math.exp(-grid.dt / model.tau)
-    q = model.sigma * math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    eps[0] *= model.sigma
-    for prev, row in zip(eps[:-1], eps[1:]):
-        row *= q
-        row += alpha * prev
-    return eps
+    return z[:count]
 
 
 def sample_block(model: NoiseModel, master_seed: int, indices, grid: TimeGrid) -> np.ndarray:
-    """Paths for the given trajectory indices, shape (len(indices), n_points).
+    """Static noise paths for the given trajectory indices, shape
+    (len(indices), n_points): a read-only broadcast view of one offset
+    sigma z per row.
 
     Row k depends only on ``(model, master_seed, indices[k], grid)``, so any
-    subset or order of indices reproduces the same rows bit for bit. Static
-    paths are a read-only broadcast view of one offset per row; OU paths are
-    one `ou_chunk` over the whole grid, transposed, so ``.T`` has contiguous
-    rows.
+    subset or order of indices reproduces the same rows bit for bit. OU
+    noise raises ValueError: its paths exist only inside the Monte Carlo's
+    OU pass (`mc._ou_maps`).
     """
-    keys = trajectory_seed(master_seed, indices)
-    if model.kind == STATIC:
-        return np.broadcast_to(_static_block(model, keys)[:, None], (keys.size, grid.n_points))
-    return ou_chunk(model, keys, grid).T
+    if model.kind != STATIC:
+        raise ValueError("sample_block draws static noise only; OU paths are run by mc._ou_maps")
+    offsets = model.sigma * gaussian_block(trajectory_seed(master_seed, indices), 1)[0]
+    return np.broadcast_to(offsets[:, None], (offsets.size, grid.n_points))

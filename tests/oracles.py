@@ -41,7 +41,6 @@ from entdyn.measures import (
     concurrence_mixed,
     eof_from_concurrence,
 )
-from entdyn.noise import sample_block
 from entdyn.scenarios import RandomFieldScenario
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -322,7 +321,7 @@ def propagator_series(config) -> SimpleNamespace:
     """
     grid = config.grid
     n = grid.n_points
-    eps = sample_block(config.noise, config.master_seed, np.arange(config.n_traj), grid)
+    eps = noise_rows(config.noise, noise.trajectory_seed(config.master_seed, np.arange(config.n_traj)), grid)
     pulse_at = np.zeros(n, dtype=bool)
     pulse_at[np.rint(pulses.pulse_times(config.protocol, grid.t_max) / grid.dt).astype(int)] = True
     pulse = np.kron(pulse_unitary(), np.eye(2))

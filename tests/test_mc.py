@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from entdyn.cli import MAX_POINTS
 from entdyn.grid import TimeGrid
 from entdyn.linalg import PHI_MINUS, PHI_PLUS, check_density_matrix
 from entdyn import mc
@@ -178,6 +179,24 @@ def test_ou_chunk_height_leaves_m_bit_identical(case, rows, monkeypatch):
     assert_phases_match(map_phases(cfg.noise, cfg.protocol, cfg.grid, z, rows), phases)
     monkeypatch.setattr(mc, "_ROWS", rows)
     assert np.max(np.abs(coherence_series(cfg) - m_ref)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "protocol", [FREE, PulseProtocol.echo(2.0**19), PulseProtocol.pdd(25.0)], ids=["free", "echo", "pdd"]
+)
+def test_ou_maps_are_shared_per_sign_pattern(protocol):
+    # dt = 1 at the largest grid the command line accepts: one 9 x 10 map
+    # per 8-row chunk would be ~94 MB, one per sign pattern is a few kB.
+    grid = TimeGrid(MAX_POINTS - 1.0, MAX_POINTS)
+    steps = toggling_steps(protocol, grid)
+    tracemalloc.start()
+    try:
+        maps = mc._ou_maps(OU20, grid, steps, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(maps) == MAX_POINTS // 8
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("n_points", [801, 3201])

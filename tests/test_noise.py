@@ -13,7 +13,7 @@ from entdyn.noise import (
     sample_block,
     trajectory_seed,
 )
-from oracles import gaussian_rows, noise_rows
+from oracles import gaussian_rows, noise_rows, ou_rows
 
 GRID = TimeGrid(8.0, 201)
 
@@ -55,27 +55,33 @@ def test_static_degenerate_sigma():
     assert np.max(np.abs(block)) < 1e-10
 
 
+def ou_paths(model: NoiseModel, master_seed: int, indices, grid: TimeGrid) -> np.ndarray:
+    """OU paths of the given trajectories from the oracle recursion: the
+    Monte Carlo runs it as linear maps (`mc._ou_maps`) and forms no paths."""
+    return noise_rows(model, trajectory_seed(master_seed, indices), grid)
+
+
 def test_ou_determinism():
     model = NoiseModel.ou(1.0, 3.0)
-    a = sample_block(model, 77, np.arange(4), GRID)
-    b = sample_block(model, 77, np.arange(4), GRID)
+    a = ou_paths(model, 77, np.arange(4), GRID)
+    b = ou_paths(model, 77, np.arange(4), GRID)
     assert_array_equal(a, b)
 
 
 def test_ou_block_matches_scalar_sampler():
     # Any subset or order of indices reproduces the same rows.
     model = NoiseModel.ou(0.8, 5.0)
-    block = sample_block(model, 424242, np.arange(16), GRID)
+    block = ou_paths(model, 424242, np.arange(16), GRID)
     for k in (0, 7, 15):
-        assert_array_equal(block[k], sample_block(model, 424242, np.array([k]), GRID)[0])
-    assert_array_equal(block[[15, 3, 9]], sample_block(model, 424242, np.array([15, 3, 9]), GRID))
+        assert_array_equal(block[k], ou_paths(model, 424242, np.array([k]), GRID)[0])
+    assert_array_equal(block[[15, 3, 9]], ou_paths(model, 424242, np.array([15, 3, 9]), GRID))
 
 
 def test_ou_long_correlation_time_is_quasistatic():
     # tau / dt = 1e6: within-trajectory increments must be tiny
     grid = TimeGrid(8.0, 801)
     model = NoiseModel.ou(1.0, 1e6 * grid.dt)
-    block = sample_block(model, 11, np.arange(200), grid)
+    block = ou_paths(model, 11, np.arange(200), grid)
     drift = np.abs(block[:, -1] - block[:, 0])
     increments = np.diff(block, axis=1)
     assert increments.var() < 0.01 * model.sigma**2
@@ -84,7 +90,7 @@ def test_ou_long_correlation_time_is_quasistatic():
 
 def test_ou_stationary_variance():
     model = NoiseModel.ou(1.0, 2.0)
-    block = sample_block(model, 3000, np.arange(10_000), TimeGrid(4.0, 41))
+    block = ou_paths(model, 3000, np.arange(10_000), TimeGrid(4.0, 41))
     per_index = block.var(axis=0)
     assert np.max(np.abs(per_index - 1.0)) <= 0.05
 
@@ -93,7 +99,7 @@ def test_ou_autocorrelation_at_lag_tau():
     tau = 2.0
     model = NoiseModel.ou(1.0, tau)
     grid = TimeGrid(8.0, 81)  # dt = 0.1, lag tau = 20 steps
-    block = sample_block(model, 314, np.arange(10_000), grid)
+    block = ou_paths(model, 314, np.arange(10_000), grid)
     lag = 20
     est = np.mean(block[:, :-lag] * block[:, lag:])
     expected = model.sigma**2 * math.exp(-1.0)
@@ -133,18 +139,18 @@ def test_trajectory_seed_is_order_free():
 def test_time_major_gaussians_match_stream_by_stream(count):
     keys = trajectory_seed(2718, np.arange(3000))
     block = gaussian_block(keys, count)
-    assert block.shape == (3000, count)
-    assert block.T.flags.c_contiguous
-    assert np.array_equal(block.T, gaussian_rows(keys, count).T)
+    assert block.shape == (count, 3000)
+    assert block.flags.c_contiguous
+    assert np.array_equal(block, gaussian_rows(keys, count).T)
 
 
 @pytest.mark.parametrize(
-    "count, start, scratch_rows", [(1, 0, 1), (8, 0, 8), (8, 0, 4), (7, 792, 4), (8, 800, 8)]
+    "count, start, scratch_rows", [(1, 0, 2), (8, 0, 8), (8, 0, 9), (7, 792, 8), (8, 800, 8)]
 )
 def test_gaussian_block_into_reused_buffers_is_bit_identical(count, start, scratch_rows):
-    # Buffers reused from block to block, as the Monte Carlo's OU pass does:
-    # stale contents and spare rows must not reach the values, and a scratch
-    # of half the rows hashes in smaller blocks.
+    # Buffers reused from block to block, as the Monte Carlo's OU pass does
+    # with a 9-row scratch: stale contents and spare rows must not reach the
+    # values.
     keys = trajectory_seed(577, np.arange(3000))
     out = np.full((8, keys.size), np.nan)
     scratch = np.full((scratch_rows, keys.size), np.inf)
@@ -159,7 +165,7 @@ def test_box_muller_matches_textbook_trig():
     # from float64 libm on the same float32 uniforms: within 8 float32 ulps
     # of the radius r (measured: 4.6).
     keys = trajectory_seed(3141, np.arange(3000))
-    z = gaussian_block(keys, 801).T
+    z = gaussian_block(keys, 801)
     u = _uniforms(keys, 802, 0).astype(np.float64)
     r = np.sqrt(-2.0 * np.log(u[0::2]))
     theta = 2.0 * np.pi * u[1::2]
@@ -172,11 +178,20 @@ def test_box_muller_matches_textbook_trig():
 
 @pytest.mark.parametrize("model", [NoiseModel.static(1.3), NoiseModel.ou(0.8, 5.0)], ids=["static", "ou"])
 def test_sample_block_matches_stream_by_stream(model):
+    # Static offsets from sample_block; OU paths from the time-major
+    # Gaussians of gaussian_block through the oracle recursion.
     indices = np.arange(100, 2100)
-    block = sample_block(model, 1618, indices, GRID)
-    assert np.array_equal(block, noise_rows(model, trajectory_seed(1618, indices), GRID))
+    keys = trajectory_seed(1618, indices)
     if model.kind == "ou":
-        assert block.T.flags.c_contiguous
+        block = ou_rows(model, gaussian_block(keys, GRID.n_points).T, GRID)
+    else:
+        block = sample_block(model, 1618, indices, GRID)
+    assert np.array_equal(block, noise_rows(model, keys, GRID))
+
+
+def test_sample_block_refuses_ou_noise():
+    with pytest.raises(ValueError, match="mc._ou_maps"):
+        sample_block(NoiseModel.ou(1.0, 3.0), 1, np.arange(4), GRID)
 
 
 def test_static_block_is_a_view_of_one_offset_per_row():
