@@ -32,7 +32,7 @@ MODES = ("mc", "analytic", "randomfield", "jc")
 
 _DEFAULT_NTRAJ = 100_000
 MAX_POINTS = 2**20  # grid points; larger grids are refused before any array is built
-MAX_NTRAJ = 2**30  # trajectories; 2^17 batches, ~16 MiB of batch bounds and hours of work
+MAX_NTRAJ = 2**30  # trajectories; 2^17 batches and hours of work
 _DEFAULT_SEED = 1
 
 # Every setting, as a flag (underscores become dashes) and as a config-file

@@ -47,9 +47,11 @@ forms against a stepwise-propagator engine that applies the interval
 propagators and the pulse unitaries to each trajectory's state.
 
 Determinism contract: trajectories are keyed by (master_seed, index), batch
-boundaries are fixed, and batch results are reduced in index order, so the
-output is bit-identical for any worker count. No BLAS product sums over
-more than _BLOCK terms, so the BLAS thread count does not change it either.
+boundaries are fixed, and each batch's sum is added to one running total in
+batch order, so the output is bit-identical for any worker count and the
+memory does not grow with the number of batches. No BLAS product sums over
+more than _BLOCK terms, so the BLAS thread count does not change the output
+either.
 """
 
 from __future__ import annotations
@@ -231,18 +233,6 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _batches(n_traj: int):
-    return [(k, min(k + _BATCH, n_traj)) for k in range(0, n_traj, _BATCH)]
-
-
-def _map_batches(fn, n_traj: int, workers: int) -> list:
-    batches = _batches(n_traj)
-    if workers == 1 or len(batches) == 1:
-        return [fn(b) for b in batches]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, batches))
-
-
 def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarray:
     """Ensemble mean of exp(-i phi(t)) over all trajectories, shape (n_points,)."""
     steps = toggling_steps(run.protocol, run.grid)
@@ -259,21 +249,27 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
     # their pages are faulted in once; no two running batches share them.
     worker = threading.local()
 
-    def one_batch(bounds):
-        indices = np.arange(*bounds)
+    def one_batch(start):
+        indices = np.arange(start, min(start + _BATCH, run.n_traj))
         with np.errstate(over="ignore", invalid="ignore"):  # run() checks m(t)
             if static:
                 if not hasattr(worker, "tables"):
                     rows = -(-min(_BATCH, run.n_traj) // _BLOCK) * _BLOCK
                     worker.tables = [np.empty((rows, n)) for n in (width, width, height, height)]
-                eps = sample_block(run.noise, run.master_seed, indices, run.grid)
-                return _static_table(run.grid.dt * eps[:, 0], width, height, worker.tables)
+                x = run.grid.dt * sample_block(run.noise, run.master_seed, indices)
+                return _static_table(x, width, height, worker.tables)
             return _ou_sums(trajectory_seed(run.master_seed, indices), maps)
 
-    partial = _map_batches(one_batch, run.n_traj, resolve_workers(workers))
-    total = np.zeros_like(partial[0])
-    for p in partial:  # fixed batch order keeps the reduction deterministic
-        total += p
+    # Each batch's sum is added to the total in batch order as it arrives,
+    # then dropped, so the total is the same for any worker count. One
+    # worker runs the batches on the calling thread.
+    starts = range(0, run.n_traj, _BATCH)
+    workers = resolve_workers(workers)
+    if workers == 1 or len(starts) == 1:
+        total = sum(map(one_batch, starts), 0.0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            total = sum(pool.map(one_batch, starts), 0.0)
     if static:  # exp(-i x s) is exp(i x |s|) where s < 0, its conjugate elsewhere
         total = total[counts % width, counts // width]
         total = np.where(steps < 0, total, total.conj())

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TimeGrid
-
 STATIC = "static"
 ORNSTEIN_UHLENBECK = "ou"
 
@@ -196,17 +194,15 @@ def gaussian_block(keys, count: int, start: int = 0, out: np.ndarray | None = No
     return z[:count]
 
 
-def sample_block(model: NoiseModel, master_seed: int, indices, grid: TimeGrid) -> np.ndarray:
-    """Static noise paths for the given trajectory indices, shape
-    (len(indices), n_points): a read-only broadcast view of one offset
-    sigma z per row.
+def sample_block(model: NoiseModel, master_seed: int, indices) -> np.ndarray:
+    """Static noise offsets sigma z for the given trajectory indices, shape
+    (len(indices),): a static path is its offset at every grid point.
 
-    Row k depends only on ``(model, master_seed, indices[k], grid)``, so any
-    subset or order of indices reproduces the same rows bit for bit. OU
+    Entry k depends only on ``(model, master_seed, indices[k])``, so any
+    subset or order of indices reproduces the same values bit for bit. OU
     noise raises ValueError: its paths exist only inside the Monte Carlo's
     OU pass (`mc._ou_maps`).
     """
     if model.kind != STATIC:
         raise ValueError("sample_block draws static noise only; OU paths are run by mc._ou_maps")
-    offsets = model.sigma * gaussian_block(trajectory_seed(master_seed, indices), 1)[0]
-    return np.broadcast_to(offsets[:, None], (offsets.size, grid.n_points))
+    return model.sigma * gaussian_block(trajectory_seed(master_seed, indices), 1)[0]

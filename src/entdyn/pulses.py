@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TimeGrid
+from .grid import ON_GRID_TOL, TimeGrid
 
 FREE = "free"
 ECHO = "echo"
@@ -71,20 +71,22 @@ def toggling_steps(protocol: PulseProtocol, grid: TimeGrid) -> np.ndarray:
     s_0 = 0 and s_{j+1} = s_j + y_j, where y_j = (-1)^(pulses in (0, t_j]) is
     the sign on the grid interval [t_j, t_{j+1}): a pulse at t_j flips the
     interval that starts there (left-closed convention). Every pulse within
-    the grid horizon must sit on a grid point; the error names the
-    offending time. A PDD spacing below the grid step is rejected before any
-    pulse time is built, so no spacing can ask for more pulses than points.
+    the grid horizon must sit on a grid point, as `TimeGrid.index_of`
+    checks; the error names the first offending time. A PDD spacing below
+    the grid step is rejected before any pulse time is built, so no spacing
+    can ask for more pulses than points.
     """
     if protocol.kind == PDD and protocol.dt_pulse / grid.dt < 1.0 - _ALIGN_TOL:
         raise ValueError(
             f"pdd dt_pulse = {protocol.dt_pulse!r} is below the grid step dt = {grid.dt!r}"
         )
+    times = pulse_times(protocol, grid.t_max + 0.5 * grid.dt)
+    ratio = times / grid.dt
+    index = np.rint(ratio)
+    off_grid = (np.abs(ratio - index) > ON_GRID_TOL) | (index >= grid.n_points)
+    if off_grid.any():
+        first = float(times[off_grid.argmax()])
+        raise ValueError(f"pulse at t = {first!r} is not on the time grid (dt = {grid.dt!r})")
     flips = np.zeros(grid.n_points, dtype=np.int64)
-    for tp in pulse_times(protocol, grid.t_max + 0.5 * grid.dt):
-        try:
-            flips[grid.index_of(tp)] = 1
-        except ValueError:
-            raise ValueError(
-                f"pulse at t = {float(tp)!r} is not on the time grid (dt = {grid.dt!r})"
-            ) from None
+    flips[index.astype(np.int64)] = 1
     return np.concatenate(([0], np.cumsum(1 - 2 * (np.cumsum(flips[:-1]) % 2))))

@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -225,6 +226,42 @@ def test_ou_working_set_fits_in_cache_sized_chunks(n_points):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_memory_does_not_grow_with_batch_count(monkeypatch):
+    # Each batch's sum joins one running total as it arrives: 100 batches
+    # hold no more than 10. A list of every batch's (n_points,) complex sum
+    # would add 16 B per grid point per batch, ~23 MB here.
+    monkeypatch.setattr(mc, "_BATCH", 256)
+    grid = TimeGrid(8.0, 2**14 + 1)
+    peaks = []
+    for batches in (10, 100):
+        cfg = DephasingRun(STATIC, FREE, grid, batches * 256, 211)
+        tracemalloc.start()
+        try:
+            coherence_series(cfg, workers=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2**20
+
+
+def test_one_worker_runs_every_batch_on_the_calling_thread(monkeypatch):
+    # One worker runs no executor: every batch runs inline, one after the
+    # other, so a caller's per-thread state (a tracer's span stack) sees it.
+    threads = []
+
+    def recording(fn):
+        def wrapped(*args):
+            threads.append(threading.current_thread())
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(mc, "_ou_sums", recording(mc._ou_sums))
+    monkeypatch.setattr(mc, "_static_table", recording(mc._static_table))
+    for noise in (STATIC, OU20):
+        coherence_series(DephasingRun(noise, ECHO4, TimeGrid(8.0, 81), 2 * 8192 + 5, 223), workers=1)
+    assert threads == [threading.current_thread()] * 6
 
 
 def test_ou_bytes_unchanged_for_any_worker_count():

@@ -29,29 +29,31 @@ def test_model_validation():
 
 def test_static_determinism():
     model = NoiseModel.static(1.3)
-    a = sample_block(model, 987654321, np.arange(8), GRID)
-    b = sample_block(model, 987654321, np.array([5]), GRID)
+    a = sample_block(model, 987654321, np.arange(8))
+    b = sample_block(model, 987654321, np.array([5]))
     assert_array_equal(a[5], b[0])
-    c = sample_block(model, 987654322, np.arange(8), GRID)
-    assert a[5, 0] != c[5, 0]
+    c = sample_block(model, 987654322, np.arange(8))
+    assert a[5] != c[5]
 
 
-def test_static_is_constant_per_trajectory():
+def test_static_block_is_one_offset_per_trajectory():
     model = NoiseModel.static(2.0)
-    block = sample_block(model, 5, np.arange(4), GRID)
-    assert np.all(block == block[:, :1])
+    keys = trajectory_seed(5, np.arange(4))
+    block = sample_block(model, 5, np.arange(4))
+    assert block.shape == (4,)
+    assert_array_equal(block, model.sigma * gaussian_block(keys, 1)[0])
 
 
 def test_static_moments():
     model = NoiseModel.static(1.7)
     n = 100_000
-    values = sample_block(model, 2024, np.arange(n), TimeGrid(1.0, 2))[:, 0]
+    values = sample_block(model, 2024, np.arange(n))
     assert abs(values.mean()) <= 4.0 * model.sigma / math.sqrt(n)
     assert abs(values.var() - model.sigma**2) <= 0.05 * model.sigma**2
 
 
 def test_static_degenerate_sigma():
-    block = sample_block(NoiseModel.static(1e-12), 9, np.arange(4), GRID)
+    block = sample_block(NoiseModel.static(1e-12), 9, np.arange(4))
     assert np.max(np.abs(block)) < 1e-10
 
 
@@ -178,22 +180,19 @@ def test_box_muller_matches_textbook_trig():
 
 @pytest.mark.parametrize("model", [NoiseModel.static(1.3), NoiseModel.ou(0.8, 5.0)], ids=["static", "ou"])
 def test_sample_block_matches_stream_by_stream(model):
-    # Static offsets from sample_block; OU paths from the time-major
-    # Gaussians of gaussian_block through the oracle recursion.
+    # Static offsets from sample_block, against the first column of the
+    # oracle paths; OU paths from the time-major Gaussians of gaussian_block
+    # through the oracle recursion.
     indices = np.arange(100, 2100)
     keys = trajectory_seed(1618, indices)
+    expected = noise_rows(model, keys, GRID)
     if model.kind == "ou":
         block = ou_rows(model, gaussian_block(keys, GRID.n_points).T, GRID)
     else:
-        block = sample_block(model, 1618, indices, GRID)
-    assert np.array_equal(block, noise_rows(model, keys, GRID))
+        block, expected = sample_block(model, 1618, indices), expected[:, 0]
+    assert np.array_equal(block, expected)
 
 
 def test_sample_block_refuses_ou_noise():
     with pytest.raises(ValueError, match="mc._ou_maps"):
-        sample_block(NoiseModel.ou(1.0, 3.0), 1, np.arange(4), GRID)
-
-
-def test_static_block_is_a_view_of_one_offset_per_row():
-    block = sample_block(NoiseModel.static(1.0), 3, np.arange(5), GRID)
-    assert block.strides[1] == 0 and not block.flags.writeable
+        sample_block(NoiseModel.ou(1.0, 3.0), 1, np.arange(4))

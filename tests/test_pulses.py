@@ -120,6 +120,15 @@ def test_pulse_off_grid_raises_with_time_named():
         toggling_steps(PulseProtocol.echo(4.005), grid)
 
 
+def test_first_off_grid_pulse_is_named():
+    # Pulses 1-3 of this spacing land within the grid tolerance, pulse 4
+    # does not: the error names pulse 4, not the first pulse.
+    grid = TimeGrid(8.0, 801)  # dt = 0.01
+    dt_pulse = 0.01 * (1 + 3e-10)
+    with pytest.raises(ValueError, match=f"pulse at t = {4 * dt_pulse!r} is not on the time grid"):
+        toggling_steps(PulseProtocol.pdd(dt_pulse), grid)
+
+
 def test_pulse_grid_indices_echo():
     # the sign flips at the pulse's grid index and nowhere else
     grid = TimeGrid(8.0, 801)
