@@ -28,8 +28,9 @@ structure allows:
   buffers and no (n_points, batch) array is formed: the memory per batch
   is O(batch x _ROWS), whatever the number of grid points. The phases are
   those of the step-by-step recursion to float64 roundoff, and m is within
-  ~1e-6 of a float64 exp-and-sum of them for sigma tmax up to 80; larger
-  phases lose more in the float32 rounding of phi/2.
+  ~1e-6 of a float64 exp-and-sum of them at any sigma: past sigma tmax 80,
+  where rounding phi/2 to float32 would lose more, phi/2 is first reduced
+  mod pi in float64.
 
 Both kernels take cos and sin from one tangent of the half angle
 (`noise._half_angle`): with t = tan(phi/2) and w = 2 / (1 + t^2),
@@ -48,14 +49,16 @@ propagators and the pulse unitaries to each trajectory's state.
 
 Determinism contract: trajectories are keyed by (master_seed, index), batch
 boundaries are fixed, and each batch's sum is added to one running total in
-batch order, so the output is bit-identical for any worker count and the
-memory does not grow with the number of batches. No BLAS product sums over
+batch order, so the output is bit-identical for any worker count. At most
+two batches per worker are in flight, so the memory does not grow with the
+number of batches. No BLAS product sums over
 more than _BLOCK terms, so the BLAS thread count does not change the output
 either.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 import threading
@@ -84,6 +87,7 @@ WORKERS_ENV = "ENTDYN_WORKERS"
 _BATCH = 8192
 _BLOCK = 256  # trajectories per product block of the static tables
 _ROWS = 8  # time rows per chunk of the OU pass; even, as gaussian_block needs
+_REDUCE_ABOVE = 80.0  # sigma t_max past which _ou_sums reduces phi/2 mod pi in float64
 
 
 @dataclass
@@ -153,16 +157,20 @@ def _phase_block(ou_map: np.ndarray, chunk: np.ndarray, out: np.ndarray) -> np.n
     return np.matmul(ou_map, chunk, out=out)
 
 
-def _ou_sums(keys: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
+def _ou_sums(keys: np.ndarray, maps: list[np.ndarray], reduce: bool) -> np.ndarray:
     """sum_k exp(-i phi[j, k]) for each grid row j over the OU paths of
     ``keys``, one chunk of rows per map of `_ou_maps`: Gaussians, the map,
     then float32 cos and sin row sums of each phase row, from t = tan(phi/2)
     and w = 2 / (1 + t^2): sum cos = sum w - n and sum sin = sum t w.
 
+    Rounding phi/2 to float32 moves the angle by up to |phi| 2^-25. With
+    ``reduce``, phi/2 is first reduced mod pi in float64, wherever float32
+    holds it; a phi/2 past float32's range stays inf, so m is not finite.
+
     Every chunk is drawn into the same two float64 buffers. The Gaussians'
-    hash runs in the map's input rows with its output rows as scratch, and
-    the float32 pair (t, w) lives in the input's Gaussian rows once the map
-    has been applied, so the working set is that of the two buffers."""
+    hash runs in the map's output rows, and the float32 pair (t, w) lives in
+    the input's Gaussian rows once the map has been applied, so the working
+    set is that of the two buffers."""
     rows = 2 * (len(maps[0]) // 2)  # the longest chunk, rounded up to even
     n_points = sum(len(m) - 1 for m in maps)
     sums = np.empty(n_points, dtype=complex)
@@ -179,6 +187,10 @@ def _ou_sums(keys: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
         chunk[1] = phi[count - 1]
         t, w = t_all[:count], w_all[:count]
         np.multiply(phi[:count], 0.5, out=t, casting="same_kind")
+        if reduce:
+            fits = np.isfinite(t)
+            np.remainder(phi[:count], 2.0 * math.pi, out=phi[:count], where=fits)
+            np.multiply(phi[:count], 0.5, out=t, casting="same_kind", where=fits)
         _half_angle(t, w)  # t is tan(phi/2) now
         sums.real[start : start + count] = w.sum(axis=1)
         t *= w
@@ -233,6 +245,20 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
+def _in_order(pool: ThreadPoolExecutor, fn, items, depth: int):
+    """fn(item) for each of ``items``, run on ``pool`` and yielded in order,
+    with at most ``depth`` calls submitted and not yet yielded. (Before
+    Python 3.14, `Executor.map` submits every call before it yields the
+    first, holding one Future per call for the whole run.)"""
+    pending = collections.deque()
+    for item in items:
+        if len(pending) == depth:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
+
+
 def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarray:
     """Ensemble mean of exp(-i phi(t)) over all trajectories, shape (n_points,)."""
     steps = toggling_steps(run.protocol, run.grid)
@@ -244,6 +270,9 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
     else:  # one set of maps, read by every batch
         with np.errstate(over="ignore", invalid="ignore"):  # run() checks m(t)
             maps = _ou_maps(run.noise, run.grid, steps, min(_ROWS, run.grid.n_points))
+        # sd(phi(t)) <= sigma t for any protocol, and up to sigma t_max 80 the
+        # float32 phi/2 leaves m within 1e-6 of float64: no reduction there.
+        reduce = run.noise.sigma * run.grid.t_max > _REDUCE_ABOVE
 
     # Each worker thread keeps its static tables across its batches, so
     # their pages are faulted in once; no two running batches share them.
@@ -258,18 +287,19 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
                     worker.tables = [np.empty((rows, n)) for n in (width, width, height, height)]
                 x = run.grid.dt * sample_block(run.noise, run.master_seed, indices)
                 return _static_table(x, width, height, worker.tables)
-            return _ou_sums(trajectory_seed(run.master_seed, indices), maps)
+            return _ou_sums(trajectory_seed(run.master_seed, indices), maps, reduce)
 
     # Each batch's sum is added to the total in batch order as it arrives,
     # then dropped, so the total is the same for any worker count. One
-    # worker runs the batches on the calling thread.
+    # worker runs the batches on the calling thread; more keep at most two
+    # batches each in flight.
     starts = range(0, run.n_traj, _BATCH)
     workers = resolve_workers(workers)
     if workers == 1 or len(starts) == 1:
         total = sum(map(one_batch, starts), 0.0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(one_batch, starts), 0.0)
+            total = sum(_in_order(pool, one_batch, starts, 2 * workers), 0.0)
     if static:  # exp(-i x s) is exp(i x |s|) where s < 0, its conjugate elsewhere
         total = total[counts % width, counts // width]
         total = np.where(steps < 0, total, total.conj())

@@ -2,10 +2,12 @@
 Ornstein-Uhlenbeck process with exponential autocorrelation
 sigma^2 exp(-|dt|/tau) (Lorentzian power spectrum).
 
-Sampling is counter-based: every (seed, sample index) pair maps through a
-splitmix64-style mixing function to an independent uniform, and Gaussians come
-from Box-Muller on that stream, in float32. Box-Muller takes the cos and sin
-of its angle 2 pi u from one tangent, tan(pi u), by the half-angle identity
+Sampling is counter-based: every (stream, pair index) maps through a
+splitmix64-style mixing function to one 64-bit hash, whose two 32-bit halves
+are the radius and angle uniforms of one Box-Muller pair, run in float32:
+two Gaussians per hash, with the tail cut at sqrt(64 ln 2) = 6.66 sigma
+(about 3e-11 per draw). Box-Muller takes the cos and sin of its angle
+2 pi v from one tangent, tan(pi v), by the half-angle identity
 (`_half_angle`, which the Monte Carlo reduction uses too). There is no
 generator state, so results are byte-identical for a given (model, seed,
 grid) regardless of batching, thread count, call order, or how the time
@@ -20,6 +22,7 @@ time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +34,8 @@ _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX_1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_2 = _U64(0x94D049BB133111EB)
-_TWO_NEG53 = np.float32(2.0**-53)
-_PI = np.float32(math.pi)
+_HI, _LO = (1, 0) if sys.byteorder == "little" else (0, 1)  # int32 halves of a uint64
+_PI_TWO_NEG32 = np.float32(math.pi * 2.0**-32)  # exactly float32(pi) 2^-32
 
 
 @dataclass(frozen=True)
@@ -111,31 +114,6 @@ def _float32_rows(buf: np.ndarray, rows: int) -> np.ndarray:
     return buf.reshape(-1).view(np.float32)[: rows * buf.shape[1]].reshape(rows, -1)
 
 
-def _uniforms(keys: np.ndarray, count: int, start: int, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
-    """Open-below float32 uniforms in (0, 1], shape (count, len(keys)): row c
-    holds counter start + c of every stream. The top 53 bits k of each hash
-    give (k + 1) 2^-53, with k + 1 rounded once to float32 and the power of
-    two applied exactly, so the smallest uniform is 2^-53.
-
-    ``out`` and ``scratch`` are C-ordered 8-byte arrays with len(keys)
-    columns, of at least count rows each; new ones when not given. The hash
-    runs in the rows of ``out`` with those of ``scratch`` as its other
-    temporary, and the uniforms are written into the leading bytes of
-    ``scratch`` (`_float32_rows`)."""
-    bits = np.empty((count, keys.size), np.uint64) if out is None else out[:count].view(np.uint64)
-    scratch = np.empty((count, keys.size)) if scratch is None else scratch
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64) * _GOLDEN
-    np.add(counters[:, None], keys, out=bits)
-    _mix64(bits, scratch[:count].view(np.uint64))
-    bits >>= _U64(11)
-    bits += _U64(1)
-    u = _float32_rows(scratch, count)
-    np.copyto(u, bits.view(np.int64), casting="unsafe")  # k + 1 <= 2^53: one rounding
-    u *= _TWO_NEG53
-    return u
-
-
 def _half_angle(h: np.ndarray, w: np.ndarray) -> None:
     """In place: h <- t = tan h and w <- 2 / (1 + t^2), so that
     cos 2h = w - 1 and sin 2h = t w, in the float type of h and w.
@@ -158,9 +136,14 @@ def gaussian_block(keys, count: int, start: int = 0, out: np.ndarray | None = No
     shape (count, len(keys)), C-ordered, row c holding counter start + c of
     every stream, by Box-Muller per stream.
 
-    The values are float32 Box-Muller results held in float64: the log,
-    sqrt and half-angle tangent run in float32 on the float32 `_uniforms`,
-    whose 2^-53 floor keeps an 8.6 sigma tail.
+    Counters 2p and 2p + 1 of stream ``key`` are Box-Muller pair p, drawn
+    from one hash h = mix64(key + (p + 1) G). Read as signed 32-bit
+    integers, its high half hi gives the radius uniform
+    u = |hi + 1/2| 2^-31 in (0, 1], exact near 0, so the tail is cut at
+    sqrt(64 ln 2) = 6.66 sigma; its low half lo gives the half angle
+    pi lo 2^-32 in [-pi/2, pi/2). The values are float32 Box-Muller results
+    held in float64: the casts, log, sqrt and half-angle tangent run in
+    float32, each integer rounded once to float32.
 
     ``start`` must be even, so that Box-Muller pairs the same counters as a
     block drawn from 0: any run of rows equals the same rows of one long
@@ -175,15 +158,26 @@ def gaussian_block(keys, count: int, start: int = 0, out: np.ndarray | None = No
     if start % 2:
         raise ValueError(f"start must be even, got {start!r}")
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    pairs = 2 * ((count + 1) // 2)
-    z = np.empty((pairs, keys.size)) if out is None else out[:pairs]
-    u = _uniforms(keys, pairs, start, z, scratch)
-    r, t = u[0::2], u[1::2]  # in place: (r, t) -> (r cos 2 pi u, r sin 2 pi u)
+    pairs = (count + 1) // 2
+    z = np.empty((2 * pairs, keys.size)) if out is None else out[: 2 * pairs]
+    scratch = np.empty((2 * pairs, keys.size)) if scratch is None else scratch
+    bits = scratch[:pairs].view(np.uint64)
+    counters = np.arange(start // 2 + 1, start // 2 + pairs + 1, dtype=np.uint64) * _GOLDEN
+    np.add(counters[:, None], keys, out=bits)
+    _mix64(bits, scratch[pairs : 2 * pairs].view(np.uint64))
+    halves = bits.view(np.int32).reshape(pairs, keys.size, 2)
+    u = _float32_rows(scratch[pairs:], 2 * pairs)
+    r, t = u[:pairs], u[pairs:]  # in place: (r, t) -> (r cos 2 pi u, r sin 2 pi u)
+    np.copyto(r, halves[..., _HI], casting="unsafe")
+    np.copyto(t, halves[..., _LO], casting="unsafe")
+    r += 0.5
+    np.abs(r, out=r)
+    r *= 2.0**-31
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    t *= _PI
-    w = _float32_rows(z, len(t))  # the hash bits in z are spent
+    t *= _PI_TWO_NEG32
+    w = _float32_rows(scratch, pairs)  # the hash in scratch is spent
     _half_angle(t, w)
     t *= w
     t *= r

@@ -340,21 +340,35 @@ def propagator_series(config) -> SimpleNamespace:
     return SimpleNamespace(concurrence=conc, e_f=e_f, e_av=e_av)
 
 
+def pair_uniforms(keys, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """float32 uniforms (u, v) of the Box-Muller pairs 0 .. pairs - 1 of
+    each stream, each of shape (len(keys), pairs). Pair p is the hash
+    h = mix64(key + (p + 1) G), split by shifts and masks: its high 32 bits
+    hi and low 32 bits lo, read as two's-complement integers and rounded
+    once to float32, give the radius uniform u = |hi + 1/2| 2^-31 in (0, 1]
+    and the angle uniform v = lo 2^-32 in [-1/2, 1/2]."""
+    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+    counters = np.arange(1, pairs + 1, dtype=np.uint64)
+    bits = noise._mix64(keys[:, None] + counters[None, :] * noise._GOLDEN)
+    signed = []
+    for half in (bits >> np.uint64(32), bits & np.uint64(0xFFFFFFFF)):
+        half = half.astype(np.int64)
+        signed.append(np.where(half >= 2**31, half - 2**32, half).astype(np.float32))
+    hi, lo = signed
+    return np.abs(hi + np.float32(0.5)) * np.float32(2.0**-31), lo * np.float32(2.0**-32)
+
+
 def gaussian_rows(keys, count: int) -> np.ndarray:
     """Standard normals, shape (len(keys), count), by Box-Muller computed
-    stream by stream in float32, as `noise.gaussian_block` runs it: the
-    layout that it must reproduce bit for bit. Each 53-bit integer k + 1 is
-    rounded once to float32 and scaled by 2^-53."""
-    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    pairs = (count + 1) // 2
-    counters = np.arange(2 * pairs, dtype=np.uint64)
-    bits = noise._mix64(keys[:, None] + (counters[None, :] + np.uint64(1)) * noise._GOLDEN)
-    k1 = ((bits >> np.uint64(11)) + np.uint64(1)).astype(np.int64)
-    u = k1.astype(np.float32) * np.float32(2.0**-53)
-    r = np.sqrt(np.float32(-2.0) * np.log(u[:, 0::2]))
-    t = np.tan(np.float32(math.pi) * u[:, 1::2])  # half of the angle 2 pi u
+    stream by stream in float32 on `pair_uniforms`, as `noise.gaussian_block`
+    runs it: the layout that it must reproduce bit for bit. The radius is
+    sqrt(-2 ln u), the half angle pi v, and the cos and sin of the angle
+    come from tan(pi v) by the half-angle identity."""
+    u, v = pair_uniforms(keys, (count + 1) // 2)
+    r = np.sqrt(np.float32(-2.0) * np.log(u))
+    t = np.tan(np.float32(math.pi) * v)  # half of the angle 2 pi v
     w = np.float32(2.0) / (np.float32(1.0) + t * t)
-    z = np.empty((keys.shape[0], 2 * pairs))
+    z = np.empty((u.shape[0], 2 * u.shape[1]))
     z[:, 0::2] = r * (w - np.float32(1.0))
     z[:, 1::2] = r * (t * w)
     return z[:, :count]
@@ -404,6 +418,20 @@ def coherence_reference(config, batch: int = 8192) -> np.ndarray:
         phi = running_phase(noise_rows(config.noise, keys, grid), grid, steps)
         total += np.exp(-1j * phi).sum(axis=0)
     return total / config.n_traj
+
+
+def abs_mean_standard_error(m, m2, n: int) -> np.ndarray:
+    """Delta-method standard error of |m|, m = <exp(-i phi)> the mean of n
+    draws, from m and m2 = <exp(-2i phi)>. With c = cos phi and
+    s = -sin phi: E c^2 = (1 + Re m2)/2, E s^2 = (1 - Re m2)/2 and
+    E cs = Im m2 / 2, so
+    Var |m| ~ (Re m^2 Var c + Im m^2 Var s + 2 Re m Im m Cov(c, s)) / (n |m|^2)."""
+    mr, mi = np.real(m), np.imag(m)
+    var_c = 0.5 * (1.0 + np.real(m2)) - mr * mr
+    var_s = 0.5 * (1.0 - np.real(m2)) - mi * mi
+    cov = 0.5 * np.imag(m2) - mr * mi
+    var = (mr * mr * var_c + mi * mi * var_s + 2.0 * mr * mi * cov) / (n * (mr * mr + mi * mi))
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def series_csv_oneshot(series, x_values=None) -> tuple[str, dict[str, str]]:

@@ -329,6 +329,20 @@ def test_analytic_ou_pdd_csv_bytes_unchanged(tmp_path):
     assert digest == "2fa341ad61aeffbeedc3e8d26ec8937c24e8b3d5806d9a5b919054700d098268"
 
 
+def test_mc_ou_echo_csv_bytes_pinned(tmp_path):
+    # One Monte Carlo CSV, pinned: a change to the random stream, the OU
+    # maps or the kernel's rounding moves these bytes, and is a change to
+    # every MC cell that CHANGES.md must announce.
+    out = tmp_path / "x.csv"
+    args = (
+        "--mode mc --noise ou --sigma 1.0 --tau 20.0 --protocol echo --tbar 4.0 --tmax 8.0 "
+        "--points 161 --ntraj 20000 --seed 2101"
+    )
+    assert main([*args.split(), "-o", str(out)]) == cli.EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "e8ab33df349ca0cbe71b1fe407fc0fadaa8323ee1984bf8b9bd93e085ebf43cb"
+
+
 MODE_ARGS = {
     "mc": "--mode mc --noise static --sigma 1 --ntraj 64",
     "analytic": "--mode analytic --noise ou --sigma 1 --tau 20",

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -246,6 +247,41 @@ def test_memory_does_not_grow_with_batch_count(monkeypatch):
     assert peaks[1] - peaks[0] <= 2**20
 
 
+def test_pool_memory_does_not_grow_with_batch_count(monkeypatch):
+    # Two workers keep at most four batches in flight: 1000 batches hold no
+    # more than 10. Submitting every batch up front holds one Future per
+    # batch for the whole run, ~1.9 MB more at 1000 batches.
+    monkeypatch.setattr(mc, "_BATCH", 16)
+    peaks = []
+    for batches in (10, 1000):
+        cfg = DephasingRun(STATIC, FREE, TimeGrid(8.0, 81), batches * 16, 211)
+        tracemalloc.start()
+        try:
+            coherence_series(cfg, workers=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2**18
+
+
+def test_batch_error_ends_a_pooled_run(monkeypatch):
+    # At 2 workers the third batch raises: the run ends with its error, and
+    # no more than the four batches in flight run after it.
+    calls = itertools.count()
+    static_table = mc._static_table
+
+    def failing(*args):
+        if next(calls) == 2:
+            raise RuntimeError("batch failed")
+        return static_table(*args)
+
+    monkeypatch.setattr(mc, "_static_table", failing)
+    monkeypatch.setattr(mc, "_BATCH", 16)
+    with pytest.raises(RuntimeError, match="batch failed"):
+        coherence_series(DephasingRun(STATIC, FREE, TimeGrid(8.0, 81), 1000 * 16, 229), workers=2)
+    assert next(calls) <= 3 + 4
+
+
 def test_one_worker_runs_every_batch_on_the_calling_thread(monkeypatch):
     # One worker runs no executor: every batch runs inline, one after the
     # other, so a caller's per-thread state (a tracer's span stack) sees it.
@@ -324,6 +360,15 @@ def test_ou_large_phases_match_reference(cfg, bound):
     # sigma tmax.
     m = coherence_series(cfg)
     assert np.max(np.abs(m - coherence_reference(cfg))) <= bound
+
+
+@pytest.mark.parametrize("protocol", [FREE, ECHO4], ids=["free", "echo"])
+def test_ou_phase_reduced_mod_pi_past_sigma_tmax_80(protocol):
+    # sigma tmax 8000: a float32 phi/2 alone would leave m ~5e-4/sqrt(N)
+    # from the float64 evaluation, 5e-5 at 100 trajectories; reduced mod pi
+    # in float64 first, m stays within the float32 bound of 1e-6.
+    cfg = DephasingRun(NoiseModel.ou(1000.0, 200.0), protocol, GRID, 100, 227)
+    assert np.max(np.abs(coherence_series(cfg) - coherence_reference(cfg))) <= 1e-6
 
 
 def test_ou_coherence_is_exactly_one_at_zero():

@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from numpy.testing import assert_array_equal
 
+from entdyn import noise
 from entdyn.grid import TimeGrid
 from entdyn.noise import (
     NoiseModel,
-    _uniforms,
     gaussian_block,
     power_spectrum,
     sample_block,
     trajectory_seed,
 )
-from oracles import gaussian_rows, noise_rows, ou_rows
+from oracles import gaussian_rows, noise_rows, ou_rows, pair_uniforms
 
 GRID = TimeGrid(8.0, 201)
 
@@ -80,14 +81,20 @@ def test_ou_block_matches_scalar_sampler():
 
 
 def test_ou_long_correlation_time_is_quasistatic():
-    # tau / dt = 1e6: within-trajectory increments must be tiny
+    # tau / dt = 1e6: within-trajectory increments must be tiny. The drift
+    # eps(8) - eps(0) is Gaussian with variance 2 sigma^2 (1 - e^{-8/tau})
+    # exactly, sd 0.040 sigma: its mean square over 200 paths lies within
+    # the chi-square(200) quantiles at 1e-6 of that, and no drift passes 6 sd.
     grid = TimeGrid(8.0, 801)
     model = NoiseModel.ou(1.0, 1e6 * grid.dt)
     block = ou_paths(model, 11, np.arange(200), grid)
-    drift = np.abs(block[:, -1] - block[:, 0])
+    drift = block[:, -1] - block[:, 0]
     increments = np.diff(block, axis=1)
     assert increments.var() < 0.01 * model.sigma**2
-    assert drift.max() < 0.1 * model.sigma
+    variance = 2.0 * model.sigma**2 * -math.expm1(-grid.t_max / model.tau)
+    low, high = stats.chi2.ppf(1e-6, drift.size), stats.chi2.isf(1e-6, drift.size)
+    assert low <= np.sum(drift**2) / variance <= high
+    assert np.abs(drift).max() < 6.0 * math.sqrt(variance)
 
 
 def test_ou_stationary_variance():
@@ -162,16 +169,43 @@ def test_gaussian_block_into_reused_buffers_is_bit_identical(count, start, scrat
     assert np.array_equal(gaussian_block(keys, count, start, out=out), gaussian_block(keys, count, start))
 
 
+def test_gaussian_tail_is_cut_at_the_smallest_radius_uniform():
+    # Key -(p + 1) G hashes pair p to h = mix64(0) = 0: hi = lo = 0, the
+    # radius uniform 2^-32 and angle 0, so counter 2p is the largest value
+    # the stream holds, sqrt(64 ln 2) = 6.66, and counter 2p + 1 is 0.
+    golden = int(noise._GOLDEN)
+    keys = np.array([-(p + 1) * golden % 2**64 for p in range(4)], dtype=np.uint64)
+    z = gaussian_block(keys, 8)
+    for p in range(4):
+        assert z[2 * p, p] == pytest.approx(math.sqrt(64.0 * math.log(2.0)), rel=1e-6)
+        assert z[2 * p + 1, p] == 0.0
+
+
+def test_gaussian_stream_moments_and_pair_independence():
+    # 2^22 values: the tail cut, the first four moments within 5 standard
+    # errors, and the two halves of each hash uncorrelated: the correlation
+    # of z_2p with z_2p+1 and of their squares within 5 / sqrt(pairs).
+    keys = trajectory_seed(5772, np.arange(4096))
+    z = gaussian_block(keys, 1024)
+    n = z.size
+    assert np.abs(z).max() <= 6.67
+    for moment, expected, var in ((1, 0.0, 1.0), (2, 1.0, 2.0), (3, 0.0, 15.0), (4, 3.0, 96.0)):
+        assert abs(np.mean(z**moment) - expected) <= 5.0 * math.sqrt(var / n)
+    even, odd = z[0::2].ravel(), z[1::2].ravel()
+    for a, b in ((even, odd), (even**2, odd**2)):
+        assert abs(np.corrcoef(a, b)[0, 1]) <= 5.0 / math.sqrt(even.size)
+
+
 def test_box_muller_matches_textbook_trig():
-    # The float32 half-angle kernel against r cos(2 pi u), r sin(2 pi u)
+    # The float32 half-angle kernel against r cos(2 pi v), r sin(2 pi v)
     # from float64 libm on the same float32 uniforms: within 8 float32 ulps
-    # of the radius r (measured: 4.6).
+    # of the radius r (measured: 2.8).
     keys = trajectory_seed(3141, np.arange(3000))
     z = gaussian_block(keys, 801)
-    u = _uniforms(keys, 802, 0).astype(np.float64)
-    r = np.sqrt(-2.0 * np.log(u[0::2]))
-    theta = 2.0 * np.pi * u[1::2]
-    textbook = np.empty_like(u)
+    u, v = (x.T.astype(np.float64) for x in pair_uniforms(keys, 401))
+    r = np.sqrt(-2.0 * np.log(u))
+    theta = 2.0 * np.pi * v
+    textbook = np.empty((802, keys.size))
     textbook[0::2] = r * np.cos(theta)
     textbook[1::2] = r * np.sin(theta)
     radius = np.repeat(r, 2, axis=0)[:801]
