@@ -28,9 +28,10 @@ structure allows:
   buffers and no (n_points, batch) array is formed: the memory per batch
   is O(batch x _ROWS), whatever the number of grid points. The phases are
   those of the step-by-step recursion to float64 roundoff, and m is within
-  ~1e-6 of a float64 exp-and-sum of them at any sigma: past sigma tmax 80,
-  where rounding phi/2 to float32 would lose more, phi/2 is first reduced
-  mod pi in float64.
+  ~1e-6 of a float64 exp-and-sum of them, measured up to sigma tmax 8000:
+  past sigma tmax 80, where rounding phi/2 to float32 would lose more,
+  phi/2 is first reduced mod pi in float64. The reduction itself moves the
+  angle by up to ~|phi| 1.5e-16, which reaches 1e-6 near |phi| = 7e9.
 
 Both kernels take cos and sin from one tangent of the half angle
 (`noise._half_angle`): with t = tan(phi/2) and w = 2 / (1 + t^2),
@@ -164,8 +165,11 @@ def _ou_sums(keys: np.ndarray, maps: list[np.ndarray], reduce: bool) -> np.ndarr
     and w = 2 / (1 + t^2): sum cos = sum w - n and sum sin = sum t w.
 
     Rounding phi/2 to float32 moves the angle by up to |phi| 2^-25. With
-    ``reduce``, phi/2 is first reduced mod pi in float64, wherever float32
-    holds it; a phi/2 past float32's range stays inf, so m is not finite.
+    ``reduce``, phi/2 is first reduced mod pi in float64 as
+    phi/2 - pi rint(phi/(2 pi)), which moves the angle by up to ~|phi| 1.5e-16
+    (the rounding of the product with float64's pi); np.remainder costs
+    ~60x a rint per element. A chunk where float32 overflows some phi/2 is left
+    as it is: its inf makes m not finite, and the run fails on that.
 
     Every chunk is drawn into the same two float64 buffers. The Gaussians'
     hash runs in the map's output rows, and the float32 pair (t, w) lives in
@@ -187,10 +191,11 @@ def _ou_sums(keys: np.ndarray, maps: list[np.ndarray], reduce: bool) -> np.ndarr
         chunk[1] = phi[count - 1]
         t, w = t_all[:count], w_all[:count]
         np.multiply(phi[:count], 0.5, out=t, casting="same_kind")
-        if reduce:
-            fits = np.isfinite(t)
-            np.remainder(phi[:count], 2.0 * math.pi, out=phi[:count], where=fits)
-            np.multiply(phi[:count], 0.5, out=t, casting="same_kind", where=fits)
+        if reduce and np.isfinite(t).all():  # else some float32 phi/2 is inf, and m too
+            half = phi[:count]
+            half *= 0.5
+            half -= math.pi * np.rint(half / math.pi)
+            np.copyto(t, half, casting="same_kind")
         _half_angle(t, w)  # t is tan(phi/2) now
         sums.real[start : start + count] = w.sum(axis=1)
         t *= w
@@ -271,7 +276,8 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
         with np.errstate(over="ignore", invalid="ignore"):  # run() checks m(t)
             maps = _ou_maps(run.noise, run.grid, steps, min(_ROWS, run.grid.n_points))
         # sd(phi(t)) <= sigma t for any protocol, and up to sigma t_max 80 the
-        # float32 phi/2 leaves m within 1e-6 of float64: no reduction there.
+        # float32 phi/2 leaves m within 1e-6 of float64: no reduction there,
+        # where it would add a third to a half to the run's time.
         reduce = run.noise.sigma * run.grid.t_max > _REDUCE_ABOVE
 
     # Each worker thread keeps its static tables across its batches, so
