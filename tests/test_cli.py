@@ -241,7 +241,7 @@ def test_nonfinite_value_exits_2_naming_field(tmp_path, capsys, args, field):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("workers", ["abc", "0", "1.5"])
+@pytest.mark.parametrize("workers", ["abc", "0", "1.5", "257"])
 def test_bad_worker_env_exits_2(tmp_path, capsys, monkeypatch, workers):
     monkeypatch.setenv("ENTDYN_WORKERS", workers)
     out = tmp_path / "x.csv"
@@ -341,6 +341,20 @@ def test_mc_ou_echo_csv_bytes_pinned(tmp_path):
     assert main([*args.split(), "-o", str(out)]) == cli.EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "e8ab33df349ca0cbe71b1fe407fc0fadaa8323ee1984bf8b9bd93e085ebf43cb"
+
+
+def test_mc_static_csv_bytes_pinned(tmp_path):
+    # The static kernel's CSV, pinned: 20000 trajectories leave a
+    # 3616-trajectory tail batch that ends in a partial group of table rows,
+    # and a change to the order of the static sums moves these bytes.
+    out = tmp_path / "x.csv"
+    args = (
+        "--mode mc --noise static --sigma 1.0 --protocol free --tmax 8.0 "
+        "--points 801 --ntraj 20000 --seed 2101"
+    )
+    assert main([*args.split(), "-o", str(out)]) == cli.EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "1fa3e9167e3d238c76ced077de0f8eb2d94a5a65428da950f3ebef2f1c07539b"
 
 
 MODE_ARGS = {

@@ -57,6 +57,16 @@ def map_phases(noise: NoiseModel, protocol: PulseProtocol, grid: TimeGrid, z: np
     return np.concatenate(phases)
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def assert_phases_match(phi: np.ndarray, expected: np.ndarray):
     assert np.all(np.abs(phi - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
@@ -100,6 +110,9 @@ STATIC_KERNEL_CASES = {
     "pdd025": DephasingRun(STATIC, PulseProtocol.pdd(0.25), GRID, 3_000, 109),
     "echo2_few": DephasingRun(STATIC, PulseProtocol.echo(2.0), TimeGrid(8.0, 401), 7, 113),
     "partial_batch": DephasingRun(STATIC, ECHO4, TimeGrid(8.0, 161), 8192 + 5, 127),
+    # The tail is five full blocks and a 20-row one: a full group of table
+    # rows, then a short group padded with zero rows.
+    "short_last_group": DephasingRun(STATIC, ECHO4, GRID, 8192 + 1300, 131),
 }
 
 
@@ -191,12 +204,8 @@ def test_ou_maps_are_shared_per_sign_pattern(protocol):
     # per 8-row chunk would be ~94 MB, one per sign pattern is a few kB.
     grid = TimeGrid(MAX_POINTS - 1.0, MAX_POINTS)
     steps = toggling_steps(protocol, grid)
-    tracemalloc.start()
-    try:
-        maps = mc._ou_maps(OU20, grid, steps, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    maps = []
+    peak = traced_peak(lambda: maps.extend(mc._ou_maps(OU20, grid, steps, 8)))
     assert len(maps) == MAX_POINTS // 8
     assert peak < 32 * 2**20
 
@@ -206,13 +215,7 @@ def test_ou_memory_does_not_grow_with_grid_points(n_points):
     # Two batches of 8192 trajectories; a whole (n_points, batch) array of
     # float64 would be 52 MB at 801 points and 210 MB at 3201.
     cfg = DephasingRun(OU20, ECHO4, TimeGrid(8.0, n_points), 16_384, 179)
-    tracemalloc.start()
-    try:
-        coherence_series(cfg, workers=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert traced_peak(lambda: coherence_series(cfg, workers=1)) < 16 * 2**20
 
 
 @pytest.mark.parametrize("n_points", [801, 3201])
@@ -220,13 +223,16 @@ def test_ou_working_set_fits_in_cache_sized_chunks(n_points):
     # 8-row chunks drawn into two reused (8, 8192) buffers: ~2 MiB traced
     # for two batches, and no chunk-sized temporary.
     cfg = DephasingRun(OU20, ECHO4, TimeGrid(8.0, n_points), 16_384, 181)
-    tracemalloc.start()
-    try:
-        coherence_series(cfg, workers=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert traced_peak(lambda: coherence_series(cfg, workers=1)) < 4 * 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_static_memory_is_one_group_of_tables(workers):
+    # Four full batches and a 5-trajectory tail at width 129, height 128:
+    # tables for a whole 8192-trajectory batch and its (32, 129, 128)
+    # products would be ~37 MiB per worker; one group of 1024 rows is ~6.
+    cfg = DephasingRun(STATIC, FREE, TimeGrid(8.0, 16385), 4 * 8192 + 5, 233)
+    assert traced_peak(lambda: coherence_series(cfg, workers=workers)) < workers * 12 * 2**20
 
 
 def test_memory_does_not_grow_with_batch_count(monkeypatch):
@@ -238,12 +244,7 @@ def test_memory_does_not_grow_with_batch_count(monkeypatch):
     peaks = []
     for batches in (10, 100):
         cfg = DephasingRun(STATIC, FREE, grid, batches * 256, 211)
-        tracemalloc.start()
-        try:
-            coherence_series(cfg, workers=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: coherence_series(cfg, workers=1)))
     assert peaks[1] - peaks[0] <= 2**20
 
 
@@ -255,12 +256,7 @@ def test_pool_memory_does_not_grow_with_batch_count(monkeypatch):
     peaks = []
     for batches in (10, 1000):
         cfg = DephasingRun(STATIC, FREE, TimeGrid(8.0, 81), batches * 16, 211)
-        tracemalloc.start()
-        try:
-            coherence_series(cfg, workers=2)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: coherence_series(cfg, workers=2)))
     assert peaks[1] - peaks[0] <= 2**18
 
 
