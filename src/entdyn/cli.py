@@ -1,6 +1,14 @@
 """Batch front end: parse a run configuration, dispatch to an engine, emit
 CSV plus a reproducibility manifest.
 
+Flags and config-file lines go through one validator (`_coerce`): each
+setting of _FIELDS is a flag ``--key value`` or ``--key=value`` (underscores
+become dashes; ``-o`` is ``--output``) and a file line ``key = value``.
+``--config FILE`` reads the file first, and flags override it. Flags are
+matched whole, never by prefix, and the argument after a flag is always its
+value. Any bad flag or value is a ConfigError, which `main` reports as one
+line; ``-h``/``--help`` prints the flag list.
+
 Exit codes: 0 success, 2 configuration error, 4 I/O failure, 3 numerical
 failure. The ENTDYN_WORKERS environment variable caps engine worker threads;
 results are byte-identical for any setting.
@@ -8,7 +16,6 @@ results are byte-identical for any setting.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 import time
@@ -54,6 +61,9 @@ _FIELDS = {
     "output": (str, None, "output CSV path (manifest goes beside it)"),
 }
 
+# Flag name -> setting: the dashed name of every field, -o and --config.
+_FLAGS = {"--" + key.replace("_", "-"): key for key in _FIELDS} | {"-o": "output", "--config": "config"}
+
 # The field a noise or protocol kind needs (static noise and free evolution need none).
 _KIND_NEEDS = {ORNSTEIN_UHLENBECK: "tau", ECHO: "tbar", PDD: "dt_pulse"}
 
@@ -91,16 +101,55 @@ class RunConfig:
         return {key: value for key, value in flat.items() if value is not None}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entdyn",
-        description="Two-qubit entanglement dynamics under local noise and local pulses",
-    )
-    parser.add_argument("--config", help="flat key = value config file; flags override it")
-    for key, (kind, choices, help_text) in _FIELDS.items():
-        flags = ["--" + key.replace("_", "-")] + (["-o"] if key == "output" else [])
-        parser.add_argument(*flags, type=kind, choices=choices, help=help_text)
-    return parser
+def _coerce(key: str, text: str, where: str):
+    """``text`` as the value of setting ``key``: its type and allowed values
+    from _FIELDS. ``where`` (``path:lineno`` or the flag) leads any error."""
+    kind, choices, _ = _FIELDS[key]
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key!r}: {text!r}") from exc
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{where}: bad value for {key!r}: {text!r} (choose from {', '.join(choices)})")
+    return value
+
+
+def _help() -> str:
+    lines = ["usage: entdyn [--config FILE] [--KEY VALUE | --KEY=VALUE ...]", "",
+             "Two-qubit entanglement dynamics under local noise and local pulses", "", "options:",
+             "  -h, --help            show this help and exit",
+             "  --config FILE         flat key = value config file; flags override it"]
+    for key, (_, choices, help_text) in _FIELDS.items():
+        flag = "--" + key.replace("_", "-") + (", -o" if key == "output" else "")
+        column = f"{flag} " + ("{" + ",".join(choices) + "}" if choices else key.upper())
+        lines.append(f"  {column:<21} {help_text or ''}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _read_flags(argv: list[str]) -> tuple[str | None, dict]:
+    """The --config path and the flag values of ``argv``, each through
+    `_coerce`. The argument after a flag is always its value, and the last
+    of a repeated flag wins."""
+    config_path, values = None, {}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_help())  # one write, as a pipe reader may stop after it
+            raise SystemExit(0)
+        flag, eq, text = arg.partition("=") if arg.startswith("--") else (arg, "", "")
+        key = _FLAGS.get(flag)
+        if key is None:
+            raise ConfigError(f"unknown flag {arg!r}" if arg.startswith("-") else
+                              f"unexpected argument {arg!r} (settings are given as --key value)")
+        if not eq:
+            text = next(args, None)
+            if text is None:
+                raise ConfigError(f"{flag}: missing value")
+        if key == "config":
+            config_path = text
+        else:
+            values[key] = _coerce(key, text, flag)
+    return config_path, values
 
 
 def _read_config_file(path: str) -> dict:
@@ -119,14 +168,7 @@ def _read_config_file(path: str) -> dict:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        kind, choices, _ = _FIELDS[key]
-        try:
-            values[key] = kind(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
-        if choices is not None and values[key] not in choices:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r} "
-                              f"(choose from {', '.join(choices)})")
+        values[key] = _coerce(key, value, f"{path}:{lineno}")
     return values
 
 
@@ -151,10 +193,9 @@ def _model(cls, name: str, kind: str, values: dict, **fields):
 
 def parse_config(argv=None) -> RunConfig:
     """Resolve flags plus optional config file into a validated RunConfig."""
-    flags = vars(_build_parser().parse_args(argv))
-    config_path = flags.pop("config")
+    config_path, flags = _read_flags(sys.argv[1:] if argv is None else argv)
     values = _read_config_file(config_path) if config_path else {}
-    values.update((key, flag) for key, flag in flags.items() if flag is not None)
+    values.update(flags)
 
     mode = values.get("mode")
     if mode is None:

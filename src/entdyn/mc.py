@@ -65,7 +65,6 @@ import collections
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +174,12 @@ def _ou_sums(keys: np.ndarray, maps: list[np.ndarray], reduce: bool) -> np.ndarr
     ~60x a rint per element. A chunk where float32 overflows some phi/2 is left
     as it is: its inf makes m not finite, and the run fails on that.
 
+    The row sums are float32 too, and they set a floor under m's error: a
+    sum of 8192 values of w near 2 (small phi) is near 16384, where the
+    float32 ulp is 2^-9, so a batch resolves m only to 2^-9 / 8192 ~ 2.4e-7
+    (max 1.4e-7 off the float64 sum of the same w over 200 such rows). No
+    accuracy claim on m and no runtime standard error can go below this.
+
     Every chunk is drawn into the same two float64 buffers. The Gaussians'
     hash runs in the map's output rows, and the float32 pair (t, w) lives in
     the input's Gaussian rows once the map has been applied, so the working
@@ -261,11 +266,11 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _in_order(pool: ThreadPoolExecutor, fn, items, depth: int):
-    """fn(item) for each of ``items``, run on ``pool`` and yielded in order,
-    with at most ``depth`` calls submitted and not yet yielded. (Before
-    Python 3.14, `Executor.map` submits every call before it yields the
-    first, holding one Future per call for the whole run.)"""
+def _in_order(pool, fn, items, depth: int):
+    """fn(item) for each of ``items``, run on the executor ``pool`` and
+    yielded in order, with at most ``depth`` calls submitted and not yet
+    yielded. (Before Python 3.14, `Executor.map` submits every call before
+    it yields the first, holding one Future per call for the whole run.)"""
     pending = collections.deque()
     for item in items:
         if len(pending) == depth:
@@ -315,7 +320,9 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
     workers = resolve_workers(workers)
     if workers == 1 or len(starts) == 1:
         total = sum(map(one_batch, starts), 0.0)
-    else:
+    else:  # imported here: a one-worker run needs no pool (nor logging, queue, ...)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             total = sum(_in_order(pool, one_batch, starts, 2 * workers), 0.0)
     if static:  # exp(-i x s) is exp(i x |s|) where s < 0, its conjugate elsewhere

@@ -231,6 +231,8 @@ def _one_line_error(capsys) -> str:
         ("--mode analytic --noise ou --sigma 1 --tau 20 --tmax inf", "tmax"),
         ("--mode analytic --noise ou --sigma inf --tau 20", "sigma"),
         ("--mode analytic --noise ou --sigma 1 --tau nan", "tau"),
+        ("--mode analytic --noise ou --sigma -1 --tau 20", "sigma"),  # a negative value is a value
+        ("--mode analytic --noise ou --sigma=-1 --tau 20", "sigma"),
         ("--mode randomfield --omega inf", "omega"),
         ("--mode analytic --noise static --sigma 1e-320", "t_max"),  # default tmax 8/sigma overflows
     ],
@@ -453,6 +455,71 @@ def test_static_mc_bytes_independent_of_workers_and_blas_threads(tmp_path):
 def test_unknown_flag_exits_2():
     result = run_entdyn(["--frobnicate"])
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        ("--frobnicate", "--frobnicate"),
+        ("--mode randomfield stray", "stray"),
+        ("--mode randomfield --sigma", "--sigma"),
+        ("--mode analytic --noise ou --sigma abc --tau 20", "--sigma"),
+        ("--mode randomfield --points 8.5", "--points"),
+        ("--mode analytic --noise gauss --sigma 1", "--noise"),
+    ],
+)
+def test_flag_error_is_one_line(tmp_path, args, flag):
+    out = tmp_path / "x.csv"
+    result = run_entdyn(["-o", str(out), *args.split()])
+    assert result.returncode == cli.EXIT_CONFIG
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert result.stderr.startswith("entdyn: config error:") and flag in result.stderr, result.stderr
+    assert result.stdout == "" and not out.exists()
+
+
+FLAG_BASE = "--mode analytic --noise static --sigma 1 --protocol echo --points 81"
+
+
+@pytest.mark.parametrize(
+    "args, same_as",
+    [
+        ("--tbar=4", "--tbar 4"),
+        ("--tbar 2 --tbar 4", "--tbar 4"),  # the last of a repeated flag wins
+        ("--tbar 4 -o x.csv", "--tbar 4 --output x.csv"),
+        ("--tbar 4 --output=x.csv", "--tbar 4 -o x.csv"),
+        ("--tbar 4 -o --x.csv", "--tbar 4 --output=--x.csv"),  # the argument after a flag is its value
+        ("--tbar=4 --sigma=2 --points=161", "--sigma 2 --points 161 --tbar 4"),
+    ],
+)
+def test_flag_forms_parse_alike(args, same_as):
+    config = parse_config([*FLAG_BASE.split(), *args.split()])
+    assert config == parse_config([*FLAG_BASE.split(), *same_as.split()])
+    assert config.protocol.tbar == 4.0
+
+
+def test_bad_flag_and_bad_file_line_give_one_message(tmp_path, capsys):
+    # one validator: the messages differ only in where the value came from
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("noise = gauss\n")
+    messages = []
+    for where, args in ((f"{config_file}:1", ["--config", str(config_file)]), ("--noise", ["--noise", "gauss"])):
+        assert main(["--mode", "analytic", "--sigma", "1", *args]) == cli.EXIT_CONFIG
+        message = _one_line_error(capsys)
+        prefix = f"entdyn: config error: {where}: "
+        assert message.startswith(prefix), message
+        messages.append(message[len(prefix):])
+    assert messages[0] == messages[1] == "bad value for 'noise': 'gauss' (choose from static, ou)\n"
+
+
+def test_short_help_is_help(capsys):
+    outputs = []
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as stop:
+            main(["--mode", "jc", flag, "--frobnicate"])
+        assert stop.value.code == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+    assert outputs[0].out.startswith("usage: entdyn")
 
 
 def test_console_script_runs(tmp_path):

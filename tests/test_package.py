@@ -2,9 +2,13 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import entdyn
+from cli_command import SRC_DIR
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,3 +34,15 @@ def test_traced_functions_exist():
         if not callable(getattr(module, attr, None)):
             missing.append((module_name, attr, span))
     assert missing == []
+
+
+def test_cli_import_pulls_in_no_parser_or_pool():
+    # A one-run process pays for every module it imports: parsing needs no
+    # argparse (nor its gettext and locale), a one-worker run no thread pool
+    # (nor the logging it imports).
+    unwanted = ["argparse", "gettext", "locale", "concurrent.futures", "logging"]
+    code = f"import sys, entdyn.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
