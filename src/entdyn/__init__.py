@@ -14,12 +14,7 @@ __version__ = "0.1.0"
 from .filters import (
     NumericalError,
     analytic_series,
-    concurrence_spectral,
     concurrence_static,
-    filter_echo,
-    filter_free,
-    filter_numeric,
-    filter_pdd,
     filter_weight,
 )
 from .grid import TimeGrid
@@ -69,14 +64,9 @@ __all__ = [
     "average_entanglement",
     "concurrence_mixed",
     "concurrence_pure",
-    "concurrence_spectral",
     "concurrence_static",
     "entropy_of_entanglement",
     "eof_from_concurrence",
-    "filter_echo",
-    "filter_free",
-    "filter_numeric",
-    "filter_pdd",
     "filter_weight",
     "hermitian_eigen",
     "jc_ensemble",

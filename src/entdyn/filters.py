@@ -1,14 +1,13 @@
-"""Analytic dephasing path: filter functions, spectral integrals, and the
-exact Ornstein-Uhlenbeck recursion.
+"""Analytic dephasing path: the exact Ornstein-Uhlenbeck recursion, the
+quasistatic closed form, and the spectral quadrature of the paper's
+filter-function formulation.
 
 For Gaussian noise the two-qubit concurrence is C(t) = exp(-chi(t)) with
 chi(t) = 1/2 int dw/2pi S(w) F(w,t)/w^2, where S is the noise power spectrum
 and F the protocol's filter function, F(w,t) = w^2 |int_0^t y(t') e^{i w t'}
-dt'|^2 for toggling sign y. This module provides the closed forms for free
-evolution, echo, and periodic dynamical decoupling, the exact piecewise
-transform for any protocol, the quasistatic closed form, and the quadrature
-of the spectral integral for OU noise (the paper's filter-function
-formulation).
+dt'|^2 for toggling sign y. `filter_weight` is the exact piecewise transform
+F/w^2 for any protocol and `dephasing_exponent` the quadrature of chi for OU
+noise; the test suite checks the recursion against them.
 
 `analytic_series` evaluates both noise kinds in the time domain instead,
 from the toggling step counts of the grid: quasistatic noise by its closed
@@ -19,6 +18,7 @@ oracle against which the Monte Carlo engine is validated, and vice versa.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,10 +30,9 @@ from .series import EntanglementSeries
 
 
 class NumericalError(RuntimeError):
-    """An analytic exponent could not be computed to the requested accuracy."""
+    """An exponent or phase is not finite, or could not be computed to the requested accuracy."""
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _SMALL_PHASE = 1e-6
 # The largest shipped configuration (PDD dt 0.25 at omega_max_scale 4) needs
 # ~8e3 panels; far beyond that the node arrays no longer fit in memory. The
@@ -53,51 +52,6 @@ def _check_pulses(t: float, dt_pulse: float) -> None:
         raise NumericalError(
             f"pdd filter needs {t / dt_pulse:.3g} pulses, above the cap of {_MAX_PANELS}"
         )
-
-
-def filter_free(omega, t: float):
-    """Free-evolution filter 4 sin^2(w t / 2)."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
-    omega = np.asarray(omega, dtype=float)
-    out = 4.0 * np.sin(0.5 * omega * t) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def filter_echo(omega, t: float, tbar: float):
-    """Echo filter for a single pi pulse at tbar, 0 <= tbar <= t."""
-    if not 0.0 <= tbar <= t:
-        raise ValueError(f"echo needs 0 <= tbar <= t, got tbar = {tbar!r}, t = {t!r}")
-    omega = np.asarray(omega, dtype=float)
-    s1 = np.sin(0.5 * omega * tbar)
-    s2 = np.sin(0.5 * omega * (t - tbar))
-    out = 4.0 * (s1**2 + s2**2 - 2.0 * np.cos(0.5 * omega * t) * s1 * s2)
-    return float(out) if out.ndim == 0 else out
-
-
-def filter_pdd(omega, t: float, dt_pulse: float):
-    """Filter for pi pulses at every multiple of dt_pulse up to t.
-
-    |1 + (-1)^(n+1) e^{iwt} + 2 sum_{k=1}^{n} (-1)^k e^{iwk dt}|^2 with
-    n = floor(t / dt_pulse). The middle-term sign makes F vanish like w^2 as
-    w -> 0, as the bounded toggling integral requires; it agrees with the
-    piecewise transform of y to roundoff. Raises NumericalError when n would
-    exceed _MAX_PANELS.
-    """
-    if not dt_pulse > 0.0:
-        raise ValueError(f"dt_pulse must be positive, got {dt_pulse!r}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
-    _check_pulses(t, dt_pulse)
-    omega = np.asarray(omega, dtype=float)
-    w = np.atleast_1d(omega).ravel()
-    n = int(np.floor(t / dt_pulse + 1e-9))
-    acc = 1.0 + (-1.0) ** (n + 1) * np.exp(1j * w * t)
-    if n > 0:
-        k = np.arange(1, n + 1)
-        acc = acc + 2.0 * (np.exp(1j * np.outer(w, k * dt_pulse)) @ ((-1.0) ** k))
-    out = np.abs(acc) ** 2
-    return float(out[0]) if omega.ndim == 0 else out.reshape(omega.shape)
 
 
 def filter_weight(protocol: PulseProtocol, omega, t: float):
@@ -132,13 +86,6 @@ def filter_weight(protocol: PulseProtocol, omega, t: float):
         integral = (phases[:, 1:] - phases[:, :-1]) @ signs / (1j * wb)
         out[~small] = np.abs(integral) ** 2
     return float(out[0]) if omega.ndim == 0 else out.reshape(omega.shape)
-
-
-def filter_numeric(protocol: PulseProtocol, omega, t: float):
-    """w^2 times the exact piecewise transform; ground truth for every protocol."""
-    omega = np.asarray(omega, dtype=float)
-    out = np.asarray(omega**2 * filter_weight(protocol, omega, t))
-    return float(out) if out.ndim == 0 else out
 
 
 def concurrence_static(sigma: float, steps, dt: float) -> np.ndarray:
@@ -187,13 +134,20 @@ def _panel_bounds(noise: NoiseModel, t: float, omega_max: float) -> np.ndarray:
     return bounds[keep]
 
 
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    # Built on first use: no run of the CLI integrates, so none imports numpy.polynomial.
+    return np.polynomial.legendre.leggauss(16)
+
+
 def _gauss_panels(fn, bounds: np.ndarray) -> float:
+    gauss_nodes, gauss_weights = _gauss_rule()
     a, b = bounds[:-1], bounds[1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    nodes = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
-    vals = fn(nodes).reshape(len(a), len(_GAUSS_NODES))
-    return float(np.dot(vals @ _GAUSS_WEIGHTS, half))
+    nodes = (mid[:, None] + half[:, None] * gauss_nodes[None, :]).ravel()
+    vals = fn(nodes).reshape(len(a), len(gauss_nodes))
+    return float(np.dot(vals @ gauss_weights, half))
 
 
 def _refined(fn, bounds: np.ndarray, abs_tol: float, max_refinements: int) -> float:
@@ -254,18 +208,6 @@ def dephasing_exponent(
             return chi
 
 
-def concurrence_spectral(
-    noise: NoiseModel,
-    protocol: PulseProtocol,
-    t: float,
-    abs_tol: float = 1e-9,
-    omega_max_scale: float = 1.0,
-) -> float:
-    """Concurrence exp(-chi(t)) under OU noise; quasistatic noise has its own closed form."""
-    chi = dephasing_exponent(noise, protocol, t, abs_tol=abs_tol, omega_max_scale=omega_max_scale)
-    return math.exp(-chi)
-
-
 def ou_exponents(noise: NoiseModel, steps, grid: TimeGrid) -> np.ndarray:
     """Exact OU exponent chi(t_j) = Var[phi(t_j)] / 2 at every grid point.
 
@@ -297,7 +239,9 @@ def ou_exponents(noise: NoiseModel, steps, grid: TimeGrid) -> np.ndarray:
     chis = np.empty(grid.n_points)
     chis[0] = a = chi = 0.0
     signs = np.diff(steps).tolist()
-    terms = zip(signs, d.tolist(), (length * decay).tolist(), (length * length * excess).tolist())
+    with np.errstate(over="ignore"):  # an infinite L^2 term makes chi infinite: raised below
+        sq_excess = length * length * excess
+    terms = zip(signs, d.tolist(), (length * decay).tolist(), sq_excess.tolist())
     for k, (y, dk, tau_d, tau_sq_excess) in enumerate(terms, start=1):
         chi += y * a * tau_d + tau_sq_excess
         a = (1.0 - dk) * a + y * tau_d

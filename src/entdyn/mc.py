@@ -342,5 +342,8 @@ def run(config: DephasingRun, workers: int | None = None) -> EntanglementSeries:
         raise NumericalError(
             f"Monte Carlo dephasing factor is not finite for sigma = {config.noise.sigma!r}"
         )
-    conc = np.abs(m) * c_initial
+    # A mean of unit phasors has |m| <= 1, but the OU kernel's float32 cos
+    # and sin (error <= 1e-6) leave a few-trajectory |m| up to ~2e-7 above
+    # it: clip, or EoF rejects the concurrence.
+    conc = np.minimum(np.abs(m), 1.0) * c_initial
     return EntanglementSeries(config.grid, conc, eof_from_concurrence(c_initial))

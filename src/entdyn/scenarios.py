@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .filters import NumericalError
 from .grid import TimeGrid
 from .linalg import PHI_PLUS
 from .measures import WeightedEnsemble, average_entanglement, concurrence_mixed
@@ -60,6 +61,15 @@ def _times(t) -> np.ndarray:
     return t
 
 
+def _half_phase(rate: float, t, name: str) -> np.ndarray:
+    """rate t / 2 over an array of times. Raises NumericalError where it overflows."""
+    with np.errstate(over="ignore"):
+        half = 0.5 * rate * _times(t)
+    if not np.all(np.isfinite(half)):
+        raise NumericalError(f"scenario phase {name} t / 2 is not finite for {name} = {rate!r}")
+    return half
+
+
 def _block_series(grid: TimeGrid, ensemble_of) -> EntanglementSeries:
     """Series from ``ensemble_of(times) -> WeightedEnsemble``, built once per
     block: the Wootters concurrence of its averaged state and its E_av."""
@@ -82,7 +92,7 @@ def random_field_ensemble(scenario: RandomFieldScenario, t) -> WeightedEnsemble:
     with c, s the cosine and sine of omega t / 2 and b = 1/sqrt(2), the states
     (c b, -i s b, -i s b, c b) and (c b - i s b, 0, 0, c b + i s b).
     """
-    half = 0.5 * (scenario.omega * _times(t))
+    half = _half_phase(scenario.omega, t, "omega")
     cb = np.cos(half) * PHI_PLUS[0].real
     sb = np.sin(half) * PHI_PLUS[0].real
     zero = np.zeros_like(cb)
@@ -103,7 +113,7 @@ def jc_ensemble(scenario: JCScenario, t) -> WeightedEnsemble:
     p0 = (1 + c^2)/2 with state (|00> + c|11>)/sqrt(2 p0) and p1 = (1 - c^2)/2
     with product state |01>, c = cos(gt/2).
     """
-    c = np.cos(0.5 * scenario.g * _times(t))
+    c = np.cos(_half_phase(scenario.g, t, "g"))
     p0 = 0.5 * (1.0 + c * c)
     p1 = 0.5 * (1.0 - c * c)
     psi = np.zeros(c.shape + (2, 4), dtype=complex)

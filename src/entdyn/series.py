@@ -46,6 +46,3 @@ class EntanglementSeries:
     @property
     def times(self) -> np.ndarray:
         return self.grid.times
-
-    def value_at(self, t: float, column: str) -> float:
-        return float(getattr(self, column)[self.grid.index_of(t)])

@@ -20,8 +20,11 @@ ensemble that is all the library builds of it; the Schmidt entropies also
 check the library's closed-form entropy of entanglement of pure states.
 The CSV column checksums are recomputed from the written file, not from
 the series, and the CSV is also formatted in one piece beside the writer's
-row blocks. The hidden-entanglement report of a single ensemble
-lives here too: only tests use it.
+row blocks. The hidden-entanglement report of a single ensemble, the
+closed-form filter functions of free evolution, echo and periodic
+decoupling, the exact filter function of any protocol, the spectral
+concurrence exp(-chi) and the lookup of a series column at one time live
+here too: only tests use them.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from entdyn import noise, pulses
+from entdyn.filters import _check_pulses, dephasing_exponent, filter_weight
 from entdyn.linalg import PHI_PLUS, SIGMA_X, SIGMA_Z
 from entdyn.measures import (
     WeightedEnsemble,
@@ -41,6 +45,8 @@ from entdyn.measures import (
     concurrence_mixed,
     eof_from_concurrence,
 )
+from entdyn.noise import NoiseModel
+from entdyn.pulses import PulseProtocol
 from entdyn.scenarios import RandomFieldScenario
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -128,6 +134,70 @@ def toggling_transform_sq(pulse_times, omega: float, t: float) -> float:
         a, b = bounds[k], bounds[k + 1]
         total += s * (np.exp(1j * omega * b) - np.exp(1j * omega * a)) / (1j * omega)
     return abs(total) ** 2
+
+
+def filter_free(omega, t: float):
+    """Free-evolution filter 4 sin^2(w t / 2)."""
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t!r}")
+    omega = np.asarray(omega, dtype=float)
+    out = 4.0 * np.sin(0.5 * omega * t) ** 2
+    return float(out) if out.ndim == 0 else out
+
+
+def filter_echo(omega, t: float, tbar: float):
+    """Echo filter for a single pi pulse at tbar, 0 <= tbar <= t."""
+    if not 0.0 <= tbar <= t:
+        raise ValueError(f"echo needs 0 <= tbar <= t, got tbar = {tbar!r}, t = {t!r}")
+    omega = np.asarray(omega, dtype=float)
+    s1 = np.sin(0.5 * omega * tbar)
+    s2 = np.sin(0.5 * omega * (t - tbar))
+    out = 4.0 * (s1**2 + s2**2 - 2.0 * np.cos(0.5 * omega * t) * s1 * s2)
+    return float(out) if out.ndim == 0 else out
+
+
+def filter_pdd(omega, t: float, dt_pulse: float):
+    """Filter for pi pulses at every multiple of dt_pulse up to t.
+
+    |1 + (-1)^(n+1) e^{iwt} + 2 sum_{k=1}^{n} (-1)^k e^{iwk dt}|^2 with
+    n = floor(t / dt_pulse). The middle-term sign makes F vanish like w^2 as
+    w -> 0, as the bounded toggling integral requires; it agrees with the
+    piecewise transform of y to roundoff. Raises NumericalError when n would
+    exceed _MAX_PANELS.
+    """
+    if not dt_pulse > 0.0:
+        raise ValueError(f"dt_pulse must be positive, got {dt_pulse!r}")
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t!r}")
+    _check_pulses(t, dt_pulse)
+    omega = np.asarray(omega, dtype=float)
+    w = np.atleast_1d(omega).ravel()
+    n = int(np.floor(t / dt_pulse + 1e-9))
+    acc = 1.0 + (-1.0) ** (n + 1) * np.exp(1j * w * t)
+    if n > 0:
+        k = np.arange(1, n + 1)
+        acc = acc + 2.0 * (np.exp(1j * np.outer(w, k * dt_pulse)) @ ((-1.0) ** k))
+    out = np.abs(acc) ** 2
+    return float(out[0]) if omega.ndim == 0 else out.reshape(omega.shape)
+
+
+def filter_numeric(protocol: PulseProtocol, omega, t: float):
+    """w^2 times the exact piecewise transform; ground truth for every protocol."""
+    omega = np.asarray(omega, dtype=float)
+    out = np.asarray(omega**2 * filter_weight(protocol, omega, t))
+    return float(out) if out.ndim == 0 else out
+
+
+def concurrence_spectral(
+    noise: NoiseModel,
+    protocol: PulseProtocol,
+    t: float,
+    abs_tol: float = 1e-9,
+    omega_max_scale: float = 1.0,
+) -> float:
+    """Concurrence exp(-chi(t)) under OU noise; quasistatic noise has its own closed form."""
+    chi = dephasing_exponent(noise, protocol, t, abs_tol=abs_tol, omega_max_scale=omega_max_scale)
+    return math.exp(-chi)
 
 
 def _exp_excess(x: float) -> float:
@@ -432,6 +502,11 @@ def abs_mean_standard_error(m, m2, n: int) -> np.ndarray:
     cov = 0.5 * np.imag(m2) - mr * mi
     var = (mr * mr * var_c + mi * mi * var_s + 2.0 * mr * mi * cov) / (n * (mr * mr + mi * mi))
     return np.sqrt(np.maximum(var, 0.0))
+
+
+def value_at(series, t: float, column: str) -> float:
+    """One column of a series at the grid point of time t."""
+    return float(getattr(series, column)[series.grid.index_of(t)])
 
 
 def series_csv_oneshot(series, x_values=None) -> tuple[str, dict[str, str]]:

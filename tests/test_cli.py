@@ -311,6 +311,32 @@ def test_ou_phases_past_float32_exit_3(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        # The float32 OU kernel leaves a few-trajectory |m| just above 1.
+        ("--mode mc --noise ou --sigma 1 --tau 20 --ntraj 1", cli.EXIT_OK),
+        ("--mode mc --noise ou --sigma 1 --tau 20 --protocol pdd --dt-pulse 0.01 --ntraj 10", cli.EXIT_OK),
+        # The phase rate t / 2 overflows; the analytic OU L^2 term overflows.
+        ("--mode randomfield --omega 1e300 --tmax 1e10", cli.EXIT_NUMERICAL),
+        ("--mode jc --g 1e200 --tmax 1e200", cli.EXIT_NUMERICAL),
+        ("--mode analytic --noise ou --sigma 1 --tau 1 --tmax 1e300", cli.EXIT_NUMERICAL),
+    ],
+    ids=["ou-1-traj", "pdd-10-traj", "randomfield-overflow", "jc-overflow", "analytic-ou-overflow"],
+)
+def test_edge_runs_end_cleanly(tmp_path, args, code):
+    out = tmp_path / "x.csv"
+    result = run_entdyn([*args.split(), "-o", str(out)], PYTHONWARNINGS="error")
+    assert result.returncode == code, result.stderr
+    if code == cli.EXIT_OK:
+        header, data = read_csv(out)
+        assert np.all(data[:, header.index("concurrence")] <= 1.0)
+    else:
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        assert result.stderr.startswith("entdyn: numerical failure:")
+        assert not out.exists()
+
+
 def test_analytic_subnormal_tau_is_white_noise_limit(tmp_path):
     # x = dt / tau overflows: chi is sigma^2 tau t ~ 0 there, so C = 1,
     # with exit 0 and no warning (every warning is an error here).

@@ -7,13 +7,8 @@ from scipy.integrate import quad
 from entdyn.filters import (
     NumericalError,
     analytic_series,
-    concurrence_spectral,
     concurrence_static,
     dephasing_exponent,
-    filter_echo,
-    filter_free,
-    filter_numeric,
-    filter_pdd,
     filter_weight,
     ou_exponents,
 )
@@ -23,6 +18,11 @@ from entdyn.pulses import PulseProtocol, pulse_times, toggling_steps
 from oracles import (
     chi_echo_ou_refocus,
     chi_free_ou,
+    concurrence_spectral,
+    filter_echo,
+    filter_free,
+    filter_numeric,
+    filter_pdd,
     ou_phase_variance,
     toggling_segments,
     toggling_transform_sq,

@@ -39,8 +39,8 @@ def test_traced_functions_exist():
 def test_cli_import_pulls_in_no_parser_or_pool():
     # A one-run process pays for every module it imports: parsing needs no
     # argparse (nor its gettext and locale), a one-worker run no thread pool
-    # (nor the logging it imports).
-    unwanted = ["argparse", "gettext", "locale", "concurrent.futures", "logging"]
+    # (nor the logging it imports), and no run the quadrature's numpy.polynomial.
+    unwanted = ["argparse", "gettext", "locale", "concurrent.futures", "logging", "numpy.polynomial"]
     code = f"import sys, entdyn.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

@@ -21,7 +21,7 @@ from entdyn.scenarios import (
     random_field_ensemble,
     random_field_series,
 )
-from oracles import exchange_state, jc_closed_form, reduced_state, scenario_series_pointwise
+from oracles import exchange_state, jc_closed_form, reduced_state, scenario_series_pointwise, value_at
 
 RF = RandomFieldScenario(omega=1.0, grid=TimeGrid(2.0 * math.pi, 401))
 JC = JCScenario(g=1.0, grid=TimeGrid(2.0 * math.pi, 401))
@@ -57,11 +57,11 @@ def test_random_field_ensemble_at_revival():
 
 def test_random_field_series_timeline():
     series = random_field_series(RF)
-    assert series.value_at(0.0, "e_f") == pytest.approx(1.0, abs=1e-9)
-    assert series.value_at(TBAR, "e_f") <= 1e-9
-    assert series.value_at(TBAR, "e_hidden") == pytest.approx(1.0, abs=1e-9)
-    assert series.value_at(2.0 * TBAR, "e_f") == pytest.approx(1.0, abs=1e-9)
-    assert abs(series.value_at(2.0 * TBAR, "e_hidden")) <= 1e-9
+    assert value_at(series, 0.0, "e_f") == pytest.approx(1.0, abs=1e-9)
+    assert value_at(series, TBAR, "e_f") <= 1e-9
+    assert value_at(series, TBAR, "e_hidden") == pytest.approx(1.0, abs=1e-9)
+    assert value_at(series, 2.0 * TBAR, "e_f") == pytest.approx(1.0, abs=1e-9)
+    assert abs(value_at(series, 2.0 * TBAR, "e_hidden")) <= 1e-9
     assert np.max(np.abs(series.e_av - 1.0)) <= 1e-9
 
 
@@ -145,17 +145,17 @@ def test_jc_ensemble_reproduces_traced_state():
 
 def test_jc_measures_endpoints():
     series = jc_measures(JC)
-    assert series.value_at(0.0, "e_f") == pytest.approx(1.0, abs=1e-9)
-    assert abs(series.value_at(0.0, "e_hidden")) <= 1e-9
-    assert series.value_at(TBAR, "e_f") <= 1e-9
-    assert series.value_at(TBAR, "e_av") <= 1e-9
-    assert series.value_at(2.0 * TBAR, "e_f") == pytest.approx(1.0, abs=1e-9)
+    assert value_at(series, 0.0, "e_f") == pytest.approx(1.0, abs=1e-9)
+    assert abs(value_at(series, 0.0, "e_hidden")) <= 1e-9
+    assert value_at(series, TBAR, "e_f") <= 1e-9
+    assert value_at(series, TBAR, "e_av") <= 1e-9
+    assert value_at(series, 2.0 * TBAR, "e_f") == pytest.approx(1.0, abs=1e-9)
 
 
 def test_jc_measures_gap_reference_value():
     # eta = 0.5 at g t = pi/2, on the 401-point grid exactly
     series = jc_measures(JC)
-    gap = series.value_at(math.pi / 2.0, "e_hidden")
+    gap = value_at(series, math.pi / 2.0, "e_hidden")
     e_f, e_av = jc_closed_form(0.5)
     assert gap == pytest.approx(e_av - e_f, abs=1e-9)
     assert gap == pytest.approx(0.088, abs=2e-3)
