@@ -52,16 +52,16 @@ propagators and the pulse unitaries to each trajectory's state.
 
 Determinism contract: trajectories are keyed by (master_seed, index), batch
 boundaries are fixed, and each batch's sum is added to one running total in
-batch order, so the output is bit-identical for any worker count. At most
-two batches per worker are in flight, so the memory does not grow with the
-number of batches. No BLAS product sums over
+batch order, so the output is bit-identical for any worker count. The
+batches run 2 x workers at a time, each window summed before the next is
+submitted, so at most two batches per worker are in flight and the memory
+does not grow with the number of batches. No BLAS product sums over
 more than _BLOCK terms, so the BLAS thread count does not change the output
 either.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 import os
 import threading
@@ -266,20 +266,6 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _in_order(pool, fn, items, depth: int):
-    """fn(item) for each of ``items``, run on the executor ``pool`` and
-    yielded in order, with at most ``depth`` calls submitted and not yet
-    yielded. (Before Python 3.14, `Executor.map` submits every call before
-    it yields the first, holding one Future per call for the whole run.)"""
-    pending = collections.deque()
-    for item in items:
-        if len(pending) == depth:
-            yield pending.popleft().result()
-        pending.append(pool.submit(fn, item))
-    while pending:
-        yield pending.popleft().result()
-
-
 def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarray:
     """Ensemble mean of exp(-i phi(t)) over all trajectories, shape (n_points,)."""
     steps = toggling_steps(run.protocol, run.grid)
@@ -314,8 +300,9 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
 
     # Each batch's sum is added to the total in batch order as it arrives,
     # then dropped, so the total is the same for any worker count. One
-    # worker runs the batches on the calling thread; more keep at most two
-    # batches each in flight.
+    # worker runs the batches on the calling thread; more run them in
+    # windows of two batches per worker, as Executor.map before Python 3.14
+    # submits every call of its input before it yields the first.
     starts = range(0, run.n_traj, _BATCH)
     workers = resolve_workers(workers)
     if workers == 1 or len(starts) == 1:
@@ -323,8 +310,10 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
     else:  # imported here: a one-worker run needs no pool (nor logging, queue, ...)
         from concurrent.futures import ThreadPoolExecutor
 
+        total = 0.0
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = sum(_in_order(pool, one_batch, starts, 2 * workers), 0.0)
+            for i in range(0, len(starts), 2 * workers):
+                total = sum(pool.map(one_batch, starts[i : i + 2 * workers]), total)
     if static:  # exp(-i x s) is exp(i x |s|) where s < 0, its conjugate elsewhere
         total = total[counts % width, counts // width]
         total = np.where(steps < 0, total, total.conj())

@@ -57,3 +57,32 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="format failed"):
         io.write_series_csv(str(tmp_path / "series.csv"), series, x)
     assert os.listdir(tmp_path) == []
+
+
+def test_format_column_edge_cells():
+    values = [-0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3, 123456789012345.0]
+    expected = ["-0", "4.94065645841e-324", "1e+16", "0.3", "0.333333333333", "1.23456789012e+14"]
+    assert io.format_column(np.array(values)) == "".join(f"{v:.12g}\n" for v in values)
+    assert io.format_column(values).split("\n") == [*expected, ""]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_outputs_get_the_mode_open_gives(tmp_path, umask):
+    # A temp file left by an earlier process with this id, made owner-only,
+    # is neither reused nor in the way.
+    series, x = make_series(11)
+    path = tmp_path / "series.csv"
+    stale = tmp_path / f"series.csv.{os.getpid()}.tmp"
+    stale.write_text("stale")
+    stale.chmod(0o600)
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        io.write_series_csv(str(path), series, x)
+        io.write_manifest(str(tmp_path / "manifest.json"), {"a": 1})
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "reference").stat().st_mode
+    assert path.stat().st_mode == (tmp_path / "manifest.json").stat().st_mode == mode
+    assert sorted(os.listdir(tmp_path)) == ["manifest.json", "reference", "series.csv"]

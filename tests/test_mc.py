@@ -298,13 +298,14 @@ def test_one_worker_runs_every_batch_on_the_calling_thread(monkeypatch):
 
 def test_ou_bytes_unchanged_for_any_worker_count():
     # Four full batches and a 5-trajectory tail; the workers share the maps
-    # read-only and each batch draws into its own buffers.
+    # read-only and each batch draws into its own buffers. Two workers run
+    # windows of 4 and 1 batches, three one window of 6 that 5 batches fill.
     cfg = DephasingRun(OU20, ECHO4, GRID, 4 * 8192 + 5, 199)
     m1 = coherence_series(cfg, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers in (2, 4):
+        for workers in (2, 3, 4):
             assert coherence_series(cfg, workers=workers).tobytes() == m1.tobytes()
     finally:
         sys.setswitchinterval(interval)
@@ -313,14 +314,14 @@ def test_ou_bytes_unchanged_for_any_worker_count():
 def test_static_tables_kept_per_worker_leave_bytes_unchanged():
     # Four full batches and a 5-trajectory tail: with 2 and 4 workers a
     # worker's reused tables hold a full batch's values when the tail
-    # overwrites their leading rows.
+    # overwrites their leading rows; 3 workers run one partial window of 6.
     # A short switch interval interleaves the worker threads' batches.
     cfg = DephasingRun(STATIC, ECHO4, GRID, 4 * 8192 + 5, 191)
     m1 = coherence_series(cfg, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers in (2, 4):
+        for workers in (2, 3, 4):
             assert coherence_series(cfg, workers=workers).tobytes() == m1.tobytes()
     finally:
         sys.setswitchinterval(interval)
