@@ -17,9 +17,12 @@ results are byte-identical for any setting.
 from __future__ import annotations
 
 import math
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import __version__
 from .filters import ANALYTIC_ENGINES, NumericalError, analytic_series
@@ -246,10 +249,21 @@ def parse_config(argv=None) -> RunConfig:
     return RunConfig(mode=mode, grid=grid, output_path=output, **fields)
 
 
+def _platform() -> dict:
+    """Python and numpy versions and numpy's active SIMD targets (or null): the MC bytes' scope."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        targets = sorted(name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name))
+    except (ImportError, AttributeError):
+        targets = None
+    return {"python": platform.python_version(), "numpy": np.__version__, "simd_targets": targets}
+
+
 def execute(config: RunConfig) -> None:
     """Run the configured engine and write CSV plus manifest atomically."""
     start = time.perf_counter()
-    manifest = {"tool": "entdyn", "version": __version__, "config": config.settings()}
+    manifest = {"tool": "entdyn", "version": __version__, "platform": _platform(), "config": config.settings()}
     x_name = scale = None
     if config.mode == "randomfield":
         series = random_field_series(RandomFieldScenario(config.omega, config.grid))

@@ -26,7 +26,7 @@ import numpy as np
 from .grid import TimeGrid
 from .noise import ORNSTEIN_UHLENBECK, STATIC, NoiseModel, power_spectrum
 from .pulses import ECHO, PDD, PulseProtocol, pulse_times, toggling_steps
-from .series import EntanglementSeries
+from .series import EntanglementSeries, series_from_coherence
 
 
 class NumericalError(RuntimeError):
@@ -258,15 +258,15 @@ def ou_exponents(noise: NoiseModel, steps, grid: TimeGrid) -> np.ndarray:
 def analytic_series(noise: NoiseModel, protocol: PulseProtocol, grid: TimeGrid) -> EntanglementSeries:
     """Filter-function series for a Bell-state preparation.
 
-    Every noise realization keeps the pair maximally entangled (dephasing and
-    pulses act as local unitaries), so E_av = 1 and the gap is 1 - E_f.
+    The exact m = exp(-chi) goes through `series.series_from_coherence`
+    with C(Phi+) = 1, so E_av = 1 and the gap is 1 - E_f.
     Quasistatic noise uses its closed form, OU noise the exact recursion of
     `ou_exponents` (the engines named in ANALYTIC_ENGINES), both over the
     toggling step counts. Raises ValueError when a pulse is off the grid.
     """
     steps = toggling_steps(protocol, grid)
     if noise.kind == STATIC:
-        conc = concurrence_static(noise.sigma, steps, grid.dt)
+        m = concurrence_static(noise.sigma, steps, grid.dt)
     else:
-        conc = np.exp(-ou_exponents(noise, steps, grid))
-    return EntanglementSeries(grid, conc, 1.0)
+        m = np.exp(-ou_exponents(noise, steps, grid))
+    return series_from_coherence(grid, m, 1.0)

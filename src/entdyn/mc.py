@@ -7,48 +7,37 @@ entanglement measure) the splitting drops out. Moving every pulse to the
 left of the product of interval propagators then turns each realization
 into a pure sz phase with the toggled sign, U(t) = P^m exp(-i sz phi(t)/2),
 phi(t) = int_0^t y eps', so the ensemble reduces to the mean dephasing
-factor m(t) = <exp(-i phi(t))>. Each noise kind has the kernel its
-structure allows:
+factor m(t) = <exp(-i phi(t))>. Both noise kinds are zero-mean Gaussian,
+so phi and -phi have the same law and m = <cos phi> is real: the kernels
+sum cos phi alone, and no imaginary part, pure sampling noise, is formed.
+`run` hands m to `series.series_from_coherence`. Each noise kind has the
+kernel its structure allows:
 
 - static noise: a realization's phase is rank 1, phi_k(t_j) = x_k s_j with
-  x_k = eps_k dt and s_j the toggling step counts. With
-  |s_j| = q w + r, exp(i x |s|) = exp(i x r) exp(i x q w), so each batch's
-  sum over trajectories is one product of two small exp tables, from which
-  every m(t_j) is gathered (conjugated where s_j >= 0). No per-point phase
-  is formed, and m = 1 exactly where s_j = 0. The tables are real cos and
-  sin tables, filled _GROUP blocks (1024 trajectories) at a time into
-  buffers that each worker thread keeps from batch to batch: 0.64 MiB at
-  801 points with an echo, where a whole batch's tables took 5.1 MiB.
-- OU noise: one pass along the time axis, _ROWS grid rows at a time. The
-  OU recursion and the trapezoid phase sum are linear in a chunk's
-  Gaussians and in the path and phase at the row before it, so each chunk
-  is one small float64 matrix (`_ou_maps`), built once per run and read by
-  every worker. Each chunk hashes its counters into Gaussians
-  (`noise.gaussian_block`), applies its map in one product
-  (`_phase_block`) and takes float32 cos and sin sums over each row; the
-  batch sums are float64. Every chunk is drawn into the same two small
-  buffers and no (n_points, batch) array is formed: the memory per batch
-  is O(batch x _ROWS), whatever the number of grid points. The phases are
+  x_k = eps_k dt and s_j the toggling step counts. With |s_j| = q w + r,
+  cos(x |s|) = Re exp(i x r) exp(i x q w), so each batch's sum over
+  trajectories is the real part of one product of two small exp tables, from
+  which every m(t_j) is gathered (cos is even); m = 1 exactly where s_j = 0.
+  The cos and sin tables are filled _GROUP blocks (1024 trajectories) at a
+  time into buffers that each worker thread keeps from batch to batch.
+- OU noise: one pass along the time axis, _ROWS grid rows at a time. The OU
+  recursion and the trapezoid phase sum are linear in a chunk's Gaussians
+  and in the path and phase at the row before it, so each chunk is one small
+  float64 matrix (`_ou_maps`), built once per run and read by every worker.
+  Each chunk hashes its counters into Gaussians (`noise.gaussian_block`),
+  applies its map in one product (`_phase_block`) and takes a float32 sum of
+  1 - cos phi over each row; the batch sums are float64, and
+  m = 1 - sum / N <= 1. Every chunk is drawn into the same two small
+  buffers and no (n_points, batch) array is formed: the memory per batch is
+  O(batch x _ROWS), whatever the number of grid points. The phases are
   those of the step-by-step recursion to float64 roundoff, and m is within
-  ~1e-6 of a float64 exp-and-sum of them, measured up to sigma tmax 8000:
-  past sigma tmax 80, where rounding phi/2 to float32 would lose more,
-  phi/2 is first reduced mod pi in float64. The reduction itself moves the
-  angle by up to ~|phi| 1.5e-16, which reaches 1e-6 near |phi| = 7e9.
+  ~1e-6 of a float64 cos-and-sum of them up to sigma tmax 8000 at least.
 
-Both kernels take cos and sin from one tangent of the half angle
-(`noise._half_angle`): with t = tan(phi/2) and w = 2 / (1 + t^2),
-cos phi = w - 1 and sin phi = t w. numpy's tan is vectorized, its float64
-cos and sin are not, so this is the cheaper way to the same values: within
-~3e-16 absolute in the static kernel's float64, and a few float32 ulps in
-the OU kernel, where the tangent costs under 1 ns per element.
-
-The averaged state is the initial pure state v with its coherences across
-the sz_A blocks scaled by m(t): a one-sided channel, so its concurrence
-factorizes as C(t) = |m(t)| C(v) (Konrad et al., Nat. Phys. 4, 99, 2008).
-Every member is a local unitary image of v, so the ensemble-average
-entanglement is EoF(C(v)) at all times. The test suite checks both closed
-forms against a stepwise-propagator engine that applies the interval
-propagators and the pulse unitaries to each trajectory's state.
+Both kernels take cos phi = w - 1, sin phi = t w and 1 - cos phi = t^2 w
+from one tangent t = tan(phi/2), w = 2 / (1 + t^2) (`noise._half_angle`):
+numpy's tan is vectorized, its float64 cos and sin are not. The test suite
+checks the measures against a stepwise-propagator engine that applies the
+interval propagators and the pulse unitaries to each trajectory's state.
 
 Determinism contract: trajectories are keyed by (master_seed, index), batch
 boundaries are fixed, and each batch's sum is added to one running total in
@@ -57,7 +46,7 @@ batches run 2 x workers at a time, each window summed before the next is
 submitted, so at most two batches per worker are in flight and the memory
 does not grow with the number of batches. No BLAS product sums over
 more than _BLOCK terms, so the BLAS thread count does not change the output
-either.
+either. The bits hold on one numpy build and SIMD target (README).
 """
 
 from __future__ import annotations
@@ -72,7 +61,7 @@ import numpy as np
 from .filters import NumericalError
 from .grid import TimeGrid
 from .linalg import PHI_PLUS, check_state_vector
-from .measures import concurrence_pure, eof_from_concurrence
+from .measures import concurrence_pure
 from .noise import (
     STATIC,
     NoiseModel,
@@ -83,7 +72,7 @@ from .noise import (
     trajectory_seed,
 )
 from .pulses import PulseProtocol, toggling_steps
-from .series import EntanglementSeries
+from .series import EntanglementSeries, series_from_coherence
 
 WORKERS_ENV = "ENTDYN_WORKERS"
 MAX_WORKERS = 256  # threads; each keeps up to two batches in flight
@@ -162,10 +151,10 @@ def _phase_block(ou_map: np.ndarray, chunk: np.ndarray, out: np.ndarray) -> np.n
 
 
 def _ou_sums(keys: np.ndarray, maps: list[np.ndarray], reduce: bool) -> np.ndarray:
-    """sum_k exp(-i phi[j, k]) for each grid row j over the OU paths of
+    """sum_k (1 - cos phi[j, k]) for each grid row j over the OU paths of
     ``keys``, one chunk of rows per map of `_ou_maps`: Gaussians, the map,
-    then float32 cos and sin row sums of each phase row, from t = tan(phi/2)
-    and w = 2 / (1 + t^2): sum cos = sum w - n and sum sin = sum t w.
+    then float32 row sums of t^2 w = 1 - cos phi, from t = tan(phi/2) and
+    w = 2 / (1 + t^2). Each term is >= 0, so the mean 1 - sum / n is <= 1.
 
     Rounding phi/2 to float32 moves the angle by up to |phi| 2^-25. With
     ``reduce``, phi/2 is first reduced mod pi in float64 as
@@ -174,19 +163,17 @@ def _ou_sums(keys: np.ndarray, maps: list[np.ndarray], reduce: bool) -> np.ndarr
     ~60x a rint per element. A chunk where float32 overflows some phi/2 is left
     as it is: its inf makes m not finite, and the run fails on that.
 
-    The row sums are float32 too, and they set a floor under m's error: a
-    sum of 8192 values of w near 2 (small phi) is near 16384, where the
-    float32 ulp is 2^-9, so a batch resolves m only to 2^-9 / 8192 ~ 2.4e-7
-    (max 1.4e-7 off the float64 sum of the same w over 200 such rows). No
-    accuracy claim on m and no runtime standard error can go below this.
+    The row sums are float32 too. Where m is near 1 the terms and their
+    sum are near 0, so a batch of 8192 resolves m to ~6-8e-9 where m > 0.9
+    (a sum of w near 2 would resolve it only to ~1.3e-7); the largest error
+    over all rows is ~1.1e-7, from the float32 tangent where phi is large.
 
     Every chunk is drawn into the same two float64 buffers. The Gaussians'
     hash runs in the map's output rows, and the float32 pair (t, w) lives in
     the input's Gaussian rows once the map has been applied, so the working
     set is that of the two buffers."""
     rows = 2 * (len(maps[0]) // 2)  # the longest chunk, rounded up to even
-    n_points = sum(len(m) - 1 for m in maps)
-    sums = np.empty(n_points, dtype=complex)
+    sums = np.empty(sum(len(m) - 1 for m in maps))
     chunk = np.zeros((rows + 2, keys.size))  # [eps_prev; phi_prev; Gaussians]
     phase = np.empty((rows + 1, keys.size))  # [phi rows; last eps row]
     t_all = _float32_rows(chunk[2:], rows)
@@ -206,31 +193,30 @@ def _ou_sums(keys: np.ndarray, maps: list[np.ndarray], reduce: bool) -> np.ndarr
             half -= math.pi * np.rint(half / math.pi)
             np.copyto(t, half, casting="same_kind")
         _half_angle(t, w)  # t is tan(phi/2) now
-        sums.real[start : start + count] = w.sum(axis=1)
-        t *= w
-        sums.imag[start : start + count] = -t.sum(axis=1)
+        t *= t
+        t *= w  # t^2 w = 1 - cos phi >= 0
+        sums[start : start + count] = t.sum(axis=1)
         start += count
-    sums.real -= keys.size
     return sums
 
 
 def _static_table(x: np.ndarray, width: int, height: int, tables: list) -> np.ndarray:
-    """T[r, q] = sum_k exp(i x_k (q width + r)), shape (width, height).
+    """T[r, q] = sum_k cos(x_k (q width + r)), shape (width, height).
 
     A static realization's phase is rank 1, phi_k(t_j) = x_k s_j, so the
-    ensemble sum at any step count a = q width + r is one product of two
-    small tables of exp(i x_k r) and exp(i x_k q width), taken here as real
-    cos and sin tables: T = (Ca^T Cb - Sa^T Sb) + i (Ca^T Sb + Sa^T Cb).
-    The tables are filled one group of _GROUP blocks of _BLOCK trajectories
-    at a time, and each block's four products join four running sums in
-    block order: a BLAS product splits a longer sum at places that depend
-    on its thread count, and the sums with it. ``tables`` holds the buffers
+    ensemble sum at any step count a = q width + r is the real part of one
+    product of two small tables of exp(i x_k r) and exp(i x_k q width),
+    taken here as real cos and sin tables: T = Ca^T Cb - Sa^T Sb. The tables
+    are filled one group of _GROUP blocks of _BLOCK trajectories at a time,
+    and each block's two products join two running sums in block order: a
+    BLAS product splits a longer sum at places that depend on its thread
+    count, and the sums with it. ``tables`` holds the buffers
     [Ca, Sa, Cb, Sb, P], of shapes (K, width), (K, height) and
     (K / _BLOCK, width, height), K >= min(len(x), _GROUP _BLOCK) rounded up
     to a multiple of _BLOCK; each group overwrites their leading rows.
     """
     *rows, products = tables
-    sums = np.full((4, width, height), -0.0)  # -0.0 + p is p: each sum starts at block 0's product
+    sums = np.full((2, width, height), -0.0)  # -0.0 + p is p: each sum starts at block 0's product
     for start in range(0, x.size, _GROUP * _BLOCK):
         part = 0.5 * x[start : start + _GROUP * _BLOCK]
         blocks = -(-part.size // _BLOCK)
@@ -242,14 +228,10 @@ def _static_table(x: np.ndarray, width: int, height: int, tables: list) -> np.nd
             cos -= 1.0
             cos[part.size :] = sin[part.size :] = 0.0
         ca, sa, cb, sb = (t.reshape(blocks, _BLOCK, -1) for t in (ca, sa, cb, sb))
-        ca, sa = ca.transpose(0, 2, 1), sa.transpose(0, 2, 1)
-        for acc, a, b in zip(sums, (ca, sa, ca, sa), (cb, sb, sb, cb)):
-            for block in np.matmul(a, b, out=products[:blocks]):
+        for acc, a, b in zip(sums, (ca, sa), (cb, sb)):
+            for block in np.matmul(a.transpose(0, 2, 1), b, out=products[:blocks]):
                 acc += block
-    total = np.empty((width, height), dtype=complex)
-    total.real = sums[0] - sums[1]
-    total.imag = sums[2] + sums[3]
-    return total
+    return sums[0] - sums[1]
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -267,7 +249,8 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarray:
-    """Ensemble mean of exp(-i phi(t)) over all trajectories, shape (n_points,)."""
+    """Real m(t): the ensemble mean of cos phi(t) over all trajectories,
+    float64, shape (n_points,)."""
     steps = toggling_steps(run.protocol, run.grid)
     static = run.noise.kind == STATIC
     if static:  # m(t_j) from T[a_j % width, a_j // width], a_j = |s_j|
@@ -314,25 +297,17 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for i in range(0, len(starts), 2 * workers):
                 total = sum(pool.map(one_batch, starts[i : i + 2 * workers]), total)
-    if static:  # exp(-i x s) is exp(i x |s|) where s < 0, its conjugate elsewhere
-        total = total[counts % width, counts // width]
-        total = np.where(steps < 0, total, total.conj())
-    return total / run.n_traj
+    if static:  # cos is even: m(t_j) at s_j is the table's entry at |s_j|
+        return total[counts % width, counts // width] / run.n_traj
+    return 1.0 - total / run.n_traj
 
 
 def run(config: DephasingRun, workers: int | None = None) -> EntanglementSeries:
-    """Monte Carlo entanglement series: C = |m| C(v), E_av = EoF(C(v)).
-
-    Raises NumericalError when the mean dephasing factor is not finite.
-    """
-    c_initial = concurrence_pure(config.initial_state)
+    """Monte Carlo entanglement series, by `series.series_from_coherence`.
+    Raises NumericalError when the mean dephasing factor is not finite."""
     m = coherence_series(config, workers)
     if not np.all(np.isfinite(m)):
         raise NumericalError(
             f"Monte Carlo dephasing factor is not finite for sigma = {config.noise.sigma!r}"
         )
-    # A mean of unit phasors has |m| <= 1, but the OU kernel's float32 cos
-    # and sin (error <= 1e-6) leave a few-trajectory |m| up to ~2e-7 above
-    # it: clip, or EoF rejects the concurrence.
-    conc = np.minimum(np.abs(m), 1.0) * c_initial
-    return EntanglementSeries(config.grid, conc, eof_from_concurrence(c_initial))
+    return series_from_coherence(config.grid, m, concurrence_pure(config.initial_state))

@@ -1,9 +1,10 @@
 """Time series of entanglement measures produced by the engines.
 
 Every engine hands over two columns, the concurrence of the averaged state
-and the ensemble-average entanglement E_av; this is the one place that
-derives the entanglement of formation E_f = EoF(C) and the hidden gap
-E_av - E_f from them.
+and the ensemble-average entanglement E_av; `EntanglementSeries` is the one
+place that derives the entanglement of formation E_f = EoF(C) and the
+hidden gap E_av - E_f from them. Both dephasing engines hand over m(t) to
+`series_from_coherence` instead.
 """
 
 from __future__ import annotations
@@ -46,3 +47,12 @@ class EntanglementSeries:
     @property
     def times(self) -> np.ndarray:
         return self.grid.times
+
+
+def series_from_coherence(grid: TimeGrid, m, c_initial: float) -> EntanglementSeries:
+    """Series of a pure state of concurrence ``c_initial`` dephased on one
+    qubit with real mean dephasing factor ``m``: a one-sided channel, so
+    C = m c_initial (Konrad et al., Nat. Phys. 4, 99, 2008), taken as
+    max(m, 0) c_initial, as the exact m is positive; every member is a
+    local unitary image of the state, so E_av = EoF(c_initial)."""
+    return EntanglementSeries(grid, np.maximum(0.0, m) * c_initial, eof_from_concurrence(c_initial))

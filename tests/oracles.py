@@ -10,17 +10,17 @@ Gaussians, OU paths and the coherence m(t) along the trajectory-major
 layout, with the step-by-step recursions and the float64 complex
 exp-and-sum that the Monte Carlo kernels replace by linear maps and float32
 sums, and the Monte Carlo measures via a stepwise propagator on each
-trajectory's state instead of the closed forms |m| C(v) and EoF(C(v)), and the two
-scenarios point by point from matrix exponentials of their generators,
-with the Wootters lambdas as singular values of the members' spin-flip
-overlaps and Schmidt-coefficient entropies instead of the stacked
-measures. The exchange scenario's tripartite state comes from its
-generator here, with a reshape partial trace, to check the measurement
+trajectory's state instead of the closed forms max(m, 0) C(v) and
+EoF(C(v)), and the two scenarios point by point from matrix exponentials of
+their generators, with the Wootters lambdas as singular values of the
+members' spin-flip overlaps and Schmidt-coefficient entropies instead of
+the stacked measures. The exchange scenario's tripartite state comes from
+its generator here, with a reshape partial trace, to check the measurement
 ensemble that is all the library builds of it; the Schmidt entropies also
-check the library's closed-form entropy of entanglement of pure states.
-The CSV column checksums are recomputed from the written file, not from
-the series, and the CSV is also formatted in one piece beside the writer's
-row blocks. The hidden-entanglement report of a single ensemble, the
+check the library's closed-form entropy of entanglement of pure states. The
+CSV column checksums are recomputed from the written file, not from the
+series, and the CSV is also formatted in one piece beside the writer's row
+blocks. The hidden-entanglement report of a single ensemble, the
 closed-form filter functions of free evolution, echo and periodic
 decoupling, the exact filter function of any protocol, the spectral
 concurrence exp(-chi) and the lookup of a series column at one time live
@@ -387,15 +387,19 @@ def propagator_series(config) -> SimpleNamespace:
     exp(-i sz_A theta / 2) (theta the trapezoidal phase increment) and the
     pi-pulse unitary applied to qubit A at its grid point. The averaged
     density matrix gives the concurrence (Wootters) and E_f; E_av averages
-    the members' Schmidt entropies. Same noise draws as the engine.
+    the members' Schmidt entropies. Same noise draws as the engine, each
+    propagated also with its mirror eps -> -eps, which has the same
+    Gaussian law: the averaged state's coherence is then Re m of the
+    engine's draws, and its concurrence |Re m| C(v).
     """
     grid = config.grid
     n = grid.n_points
     eps = noise_rows(config.noise, noise.trajectory_seed(config.master_seed, np.arange(config.n_traj)), grid)
+    eps = np.concatenate([eps, -eps])
     pulse_at = np.zeros(n, dtype=bool)
     pulse_at[np.rint(pulses.pulse_times(config.protocol, grid.t_max) / grid.dt).astype(int)] = True
     pulse = np.kron(pulse_unitary(), np.eye(2))
-    psi = np.tile(np.asarray(config.initial_state, dtype=complex), (config.n_traj, 1))
+    psi = np.tile(np.asarray(config.initial_state, dtype=complex), (len(eps), 1))
     conc = np.empty(n)
     e_av = np.empty(n)
     for j in range(n):
@@ -403,7 +407,7 @@ def propagator_series(config) -> SimpleNamespace:
             psi = trajectory_state(psi, 0.5 * grid.dt * (eps[:, j - 1] + eps[:, j]))
             if pulse_at[j]:
                 psi = psi @ pulse.T
-        rho = np.einsum("bi,bl->il", psi, psi.conj()) / config.n_traj
+        rho = np.einsum("bi,bl->il", psi, psi.conj()) / len(psi)
         conc[j] = concurrence_mixed(0.5 * (rho + rho.conj().T))
         e_av[j] = _schmidt_entropy(psi).mean()
     e_f = np.array([eof_of_concurrence(c) for c in conc])
@@ -490,18 +494,11 @@ def coherence_reference(config, batch: int = 8192) -> np.ndarray:
     return total / config.n_traj
 
 
-def abs_mean_standard_error(m, m2, n: int) -> np.ndarray:
-    """Delta-method standard error of |m|, m = <exp(-i phi)> the mean of n
-    draws, from m and m2 = <exp(-2i phi)>. With c = cos phi and
-    s = -sin phi: E c^2 = (1 + Re m2)/2, E s^2 = (1 - Re m2)/2 and
-    E cs = Im m2 / 2, so
-    Var |m| ~ (Re m^2 Var c + Im m^2 Var s + 2 Re m Im m Cov(c, s)) / (n |m|^2)."""
-    mr, mi = np.real(m), np.imag(m)
-    var_c = 0.5 * (1.0 + np.real(m2)) - mr * mr
-    var_s = 0.5 * (1.0 - np.real(m2)) - mi * mi
-    cov = 0.5 * np.imag(m2) - mr * mi
-    var = (mr * mr * var_c + mi * mi * var_s + 2.0 * mr * mi * cov) / (n * (mr * mr + mi * mi))
-    return np.sqrt(np.maximum(var, 0.0))
+def real_mean_standard_error(m, m2, n: int) -> np.ndarray:
+    """Standard error of m = <cos phi>, the mean of n draws, from m and
+    m2 = <cos 2 phi>: E cos^2 phi = (1 + m2)/2, so
+    SE = sqrt(((1 + m2)/2 - m^2) / n), floored at 0 against roundoff."""
+    return np.sqrt(np.maximum(0.5 * (1.0 + m2) - m * m, 0.0) / n)
 
 
 def value_at(series, t: float, column: str) -> float:

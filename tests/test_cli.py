@@ -200,6 +200,30 @@ def test_mc_manifest_records_workers(tmp_path, monkeypatch):
     assert checksums[0] == checksums[1]
 
 
+@pytest.mark.parametrize("exposed", [True, False], ids=["targets", "no-targets"])
+def test_manifest_records_platform(tmp_path, monkeypatch, exposed):
+    # The MC bytes hold on one numpy build and SIMD target, so the manifest
+    # names both; a numpy without the private dispatch tables gives null.
+    import json
+    import platform
+
+    from numpy._core import _multiarray_umath as umath
+
+    if not exposed:
+        monkeypatch.delattr(umath, "__cpu_dispatch__")
+    out = tmp_path / "x.csv"
+    execute(parse_config(f"--mode mc --noise static --sigma 1 --points 11 --ntraj 10 -o {out}".split()))
+    with open(str(out) + ".manifest.json") as handle:
+        recorded = json.load(handle)["platform"]
+    assert set(recorded) == {"python", "numpy", "simd_targets"}
+    assert recorded["python"] == platform.python_version() and recorded["numpy"] == np.__version__
+    if exposed:
+        active = {name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name]}
+        assert recorded["simd_targets"] == sorted(active)
+    else:
+        assert recorded["simd_targets"] is None
+
+
 def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["--mode", "mc"]) == cli.EXIT_CONFIG
     capsys.readouterr()
@@ -314,7 +338,7 @@ def test_ou_phases_past_float32_exit_3(tmp_path):
 @pytest.mark.parametrize(
     "args, code",
     [
-        # The float32 OU kernel leaves a few-trajectory |m| just above 1.
+        # Few trajectories: m = 1 - sum(1 - cos phi) / N stays <= 1.
         ("--mode mc --noise ou --sigma 1 --tau 20 --ntraj 1", cli.EXIT_OK),
         ("--mode mc --noise ou --sigma 1 --tau 20 --protocol pdd --dt-pulse 0.01 --ntraj 10", cli.EXIT_OK),
         # The phase rate t / 2 overflows; the analytic OU L^2 term overflows.
@@ -360,7 +384,10 @@ def test_analytic_ou_pdd_csv_bytes_unchanged(tmp_path):
 def test_mc_ou_echo_csv_bytes_pinned(tmp_path):
     # One Monte Carlo CSV, pinned: a change to the random stream, the OU
     # maps or the kernel's rounding moves these bytes, and is a change to
-    # every MC cell that CHANGES.md must announce.
+    # every MC cell that CHANGES.md must announce. The MC bytes hold on one
+    # numpy build and SIMD target: this pin and the static one below were
+    # taken with numpy 2.4.6 dispatching to AVX512_ICL, AVX512_SPR, X86_V3
+    # and X86_V4 (the manifest's platform records a run's targets).
     out = tmp_path / "x.csv"
     args = (
         "--mode mc --noise ou --sigma 1.0 --tau 20.0 --protocol echo --tbar 4.0 --tmax 8.0 "
@@ -368,13 +395,14 @@ def test_mc_ou_echo_csv_bytes_pinned(tmp_path):
     )
     assert main([*args.split(), "-o", str(out)]) == cli.EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "e8ab33df349ca0cbe71b1fe407fc0fadaa8323ee1984bf8b9bd93e085ebf43cb"
+    assert digest == "a54a6a353ef7a9e2ae021534d2fcbc05d89721509405d89fe5b030ab9753d55d"
 
 
 def test_mc_static_csv_bytes_pinned(tmp_path):
     # The static kernel's CSV, pinned: 20000 trajectories leave a
     # 3616-trajectory tail batch that ends in a partial group of table rows,
-    # and a change to the order of the static sums moves these bytes.
+    # and a change to the order of the static sums moves these bytes. Taken
+    # on the SIMD target named above.
     out = tmp_path / "x.csv"
     args = (
         "--mode mc --noise static --sigma 1.0 --protocol free --tmax 8.0 "
@@ -382,7 +410,7 @@ def test_mc_static_csv_bytes_pinned(tmp_path):
     )
     assert main([*args.split(), "-o", str(out)]) == cli.EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "1fa3e9167e3d238c76ced077de0f8eb2d94a5a65428da950f3ebef2f1c07539b"
+    assert digest == "86b2e4b30fda4c7edb1695ebdbe007ba6980a429cbb017275b254bd30da93c20"
 
 
 MODE_ARGS = {
