@@ -29,7 +29,7 @@ from .filters import ANALYTIC_ENGINES, NumericalError, analytic_series
 from .grid import TimeGrid
 from .io import write_manifest, write_series_csv
 from .mc import DephasingRun, resolve_workers, run
-from .noise import ORNSTEIN_UHLENBECK, STATIC, NoiseModel
+from .noise import ORNSTEIN_UHLENBECK, STATIC, NoiseModel, trajectory_seed
 from .pulses import ECHO, FREE, PDD, PulseProtocol, toggling_steps
 from .scenarios import JCScenario, RandomFieldScenario, jc_measures, random_field_series
 
@@ -188,10 +188,7 @@ def _model(cls, name: str, kind: str, values: dict, **fields):
         if values.get(need) is None:
             raise ConfigError(f"{kind} {name} requires {need!r}")
         fields[need] = values[need]
-    try:
-        return cls(kind, **fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return cls(kind, **fields)
 
 
 def parse_config(argv=None) -> RunConfig:
@@ -206,43 +203,39 @@ def parse_config(argv=None) -> RunConfig:
     for key, (kind, _, _) in _FIELDS.items():
         if kind is float and key in values and not math.isfinite(values[key]):
             raise ConfigError(f"{key} must be finite, got {values[key]!r}")
+    # The worker count, the models and the grid check their own values, and
+    # each ValueError they raise is a config error.
     try:
         resolve_workers(None)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        fields: dict = {}  # the RunConfig fields this mode sets
+        if mode in ("mc", "analytic"):
+            noise = fields["noise"] = _model(NoiseModel, "noise", _require(values, "noise", mode), values,
+                                             sigma=_require(values, "sigma", mode))
+            fields["protocol"] = _model(PulseProtocol, "protocol", values.get("protocol", FREE), values)
+            default_tmax, default_points = 8.0 / noise.sigma, 801
+            if mode == "mc":
+                n_traj = fields["n_traj"] = values.get("ntraj", _DEFAULT_NTRAJ)
+                seed = fields["master_seed"] = values.get("seed", _DEFAULT_SEED)
+                if not 1 <= n_traj <= MAX_NTRAJ:
+                    raise ConfigError(f"ntraj must be in [1, {MAX_NTRAJ}] (2^30), got {n_traj}")
+                trajectory_seed(seed, 0)  # raises for a seed outside [0, 2^64)
+        else:  # randomfield and jc: one rotation rate, omega or g
+            key = "omega" if mode == "randomfield" else "g"
+            rate = fields[key] = values.get(key, 1.0)
+            if not rate > 0.0:
+                raise ConfigError(f"{key} must be positive, got {rate}")
+            default_tmax, default_points = 2.0 * math.pi / rate, 401
 
-    fields: dict = {}  # the RunConfig fields this mode sets
-    if mode in ("mc", "analytic"):
-        noise = fields["noise"] = _model(NoiseModel, "noise", _require(values, "noise", mode), values,
-                                         sigma=_require(values, "sigma", mode))
-        fields["protocol"] = _model(PulseProtocol, "protocol", values.get("protocol", FREE), values)
-        default_tmax, default_points = 8.0 / noise.sigma, 801
-        if mode == "mc":
-            n_traj = fields["n_traj"] = values.get("ntraj", _DEFAULT_NTRAJ)
-            seed = fields["master_seed"] = values.get("seed", _DEFAULT_SEED)
-            if not 1 <= n_traj <= MAX_NTRAJ:
-                raise ConfigError(f"ntraj must be in [1, {MAX_NTRAJ}] (2^30), got {n_traj}")
-            if not 0 <= seed < 2**64:
-                raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
-    else:  # randomfield and jc: one rotation rate, omega or g
-        key = "omega" if mode == "randomfield" else "g"
-        rate = fields[key] = values.get(key, 1.0)
-        if not rate > 0.0:
-            raise ConfigError(f"{key} must be positive, got {rate}")
-        default_tmax, default_points = 2.0 * math.pi / rate, 401
-
-    points = values.get("points", default_points)
-    if points > MAX_POINTS:
-        raise ConfigError(f"points must be at most {MAX_POINTS} (2^20), got {points}")
-    try:
+        points = values.get("points", default_points)
+        if points > MAX_POINTS:
+            raise ConfigError(f"points must be at most {MAX_POINTS} (2^20), got {points}")
         grid = TimeGrid(values.get("tmax", default_tmax), points)
+        if "protocol" in fields:
+            toggling_steps(fields["protocol"], grid)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if "protocol" in fields:
-        try:
-            toggling_steps(fields["protocol"], grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     output = values.get("output", f"{mode}.csv")
     if not output:
         raise ConfigError("output must be a non-empty path")

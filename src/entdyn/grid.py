@@ -30,11 +30,3 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_points)
-
-    def index_of(self, t: float) -> int:
-        """Grid index of time ``t``; raises if ``t`` is not on the grid."""
-        ratio = t / self.dt
-        idx = int(round(ratio))
-        if abs(ratio - idx) > ON_GRID_TOL or not 0 <= idx < self.n_points:
-            raise ValueError(f"time {t!r} is not on the grid (dt = {self.dt!r})")
-        return idx

@@ -52,6 +52,7 @@ either. The bits hold on one numpy build and SIMD target (README).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -95,8 +96,9 @@ class DephasingRun:
     initial_state: np.ndarray = field(default_factory=lambda: PHI_PLUS.copy())
 
     def __post_init__(self):
-        if self.n_traj < 1:
-            raise ValueError(f"n_traj must be >= 1, got {self.n_traj!r}")
+        if not (isinstance(self.n_traj, numbers.Integral) and self.n_traj >= 1):
+            raise ValueError(f"n_traj must be an integer >= 1, got {self.n_traj!r}")
+        trajectory_seed(self.master_seed, 0)  # raises for a seed outside [0, 2^64)
         self.initial_state = check_state_vector(self.initial_state, dim=4)
 
 

@@ -22,6 +22,7 @@ time.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -101,8 +102,12 @@ def trajectory_seed(master_seed: int, index) -> np.ndarray:
 
     Two finalizer rounds decorrelate the seed from the trajectory index, so
     parallel execution over any partition of indices cannot change streams.
+    A seed that is not an integer in [0, 2^64) raises ValueError: as a
+    uint64 it would alias a seed inside that range.
     """
-    master = np.array([int(master_seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    if not (isinstance(master_seed, numbers.Integral) and 0 <= master_seed < 2**64):
+        raise ValueError(f"seed must be in [0, 2^64), got {master_seed!r}")
+    master = np.array([master_seed], dtype=np.uint64)
     index = np.asarray(index, dtype=np.uint64)
     keys = _mix64(_mix64(master + _GOLDEN) + (index.reshape(-1) + _U64(1)) * _GOLDEN)
     return keys.reshape(index.shape)

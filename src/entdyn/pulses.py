@@ -71,10 +71,9 @@ def toggling_steps(protocol: PulseProtocol, grid: TimeGrid) -> np.ndarray:
     s_0 = 0 and s_{j+1} = s_j + y_j, where y_j = (-1)^(pulses in (0, t_j]) is
     the sign on the grid interval [t_j, t_{j+1}): a pulse at t_j flips the
     interval that starts there (left-closed convention). Every pulse within
-    the grid horizon must sit on a grid point, as `TimeGrid.index_of`
-    checks; the error names the first offending time. A PDD spacing below
-    the grid step is rejected before any pulse time is built, so no spacing
-    can ask for more pulses than points.
+    the grid horizon must sit on a grid point; the error names the first
+    offending time. A PDD spacing below the grid step is rejected before any
+    pulse time is built, so no spacing can ask for more pulses than points.
     """
     if protocol.kind == PDD and protocol.dt_pulse / grid.dt < 1.0 - _ALIGN_TOL:
         raise ValueError(

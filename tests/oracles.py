@@ -23,8 +23,8 @@ series, and the CSV is also formatted in one piece beside the writer's row
 blocks. The hidden-entanglement report of a single ensemble, the
 closed-form filter functions of free evolution, echo and periodic
 decoupling, the exact filter function of any protocol, the spectral
-concurrence exp(-chi) and the lookup of a series column at one time live
-here too: only tests use them.
+concurrence exp(-chi), the grid index of a time and the lookup of a series
+column at one time live here too: only tests use them.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import numpy as np
 
 from entdyn import noise, pulses
 from entdyn.filters import _check_pulses, dephasing_exponent, filter_weight
+from entdyn.grid import ON_GRID_TOL
 from entdyn.linalg import PHI_PLUS, SIGMA_X, SIGMA_Z
 from entdyn.measures import (
     WeightedEnsemble,
@@ -501,9 +502,19 @@ def real_mean_standard_error(m, m2, n: int) -> np.ndarray:
     return np.sqrt(np.maximum(0.5 * (1.0 + m2) - m * m, 0.0) / n)
 
 
+def grid_index(grid, t: float) -> int:
+    """Index of time ``t`` on ``grid``, rounded from t / dt; raises if ``t``
+    is not on the grid."""
+    ratio = t / grid.dt
+    idx = int(round(ratio))
+    if abs(ratio - idx) > ON_GRID_TOL or not 0 <= idx < grid.n_points:
+        raise ValueError(f"time {t!r} is not on the grid (dt = {grid.dt!r})")
+    return idx
+
+
 def value_at(series, t: float, column: str) -> float:
     """One column of a series at the grid point of time t."""
-    return float(getattr(series, column)[series.grid.index_of(t)])
+    return float(getattr(series, column)[grid_index(series.grid, t)])
 
 
 def series_csv_oneshot(series, x_values=None) -> tuple[str, dict[str, str]]:

@@ -11,7 +11,7 @@ import pytest
 import entdyn.cli as cli
 from entdyn.cli import ConfigError, RunConfig, execute, main, parse_config
 from entdyn.filters import NumericalError
-from cli_command import run_entdyn
+from cli_command import LOWERED_SIMD, run_entdyn
 from oracles import column_checksums_from_csv
 
 
@@ -381,36 +381,60 @@ def test_analytic_ou_pdd_csv_bytes_unchanged(tmp_path):
     assert digest == "2fa341ad61aeffbeedc3e8d26ec8937c24e8b3d5806d9a5b919054700d098268"
 
 
+# The MC bytes hold on one numpy build and SIMD target, so each MC pin has
+# one digest per set of numpy's active dispatch targets (the manifest's
+# platform.simd_targets), all taken with numpy 2.4.6. The X86_V3 digests
+# were taken on an AVX-512 host under NPY_DISABLE_CPU_FEATURES=LOWERED_SIMD.
+_AVX512_TARGETS = ("AVX512_ICL", "AVX512_SPR", "X86_V3", "X86_V4")
+
+
+def _check_mc_pin(tmp_path, args, digests):
+    """Run ``args`` and compare its CSV's digest with the one recorded for
+    the host's SIMD targets; a host with the LOWERED_SIMD targets also runs
+    them in a child at the lowered target and checks that pin."""
+    import json
+
+    targets = tuple(cli._platform()["simd_targets"] or ())
+    if targets not in digests:
+        pytest.fail(f"no MC digest recorded for numpy SIMD targets {targets}")
+    out = tmp_path / "x.csv"
+    assert main([*args.split(), "-o", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[targets]
+    if set(LOWERED_SIMD.split()) <= set(targets):
+        lowered = tmp_path / "lowered.csv"
+        result = run_entdyn([*args.split(), "-o", str(lowered)], NPY_DISABLE_CPU_FEATURES=LOWERED_SIMD)
+        assert result.returncode == 0, result.stderr
+        with open(str(lowered) + ".manifest.json") as handle:
+            assert json.load(handle)["platform"]["simd_targets"] == ["X86_V3"]
+        assert hashlib.sha256(lowered.read_bytes()).hexdigest() == digests[("X86_V3",)]
+
+
 def test_mc_ou_echo_csv_bytes_pinned(tmp_path):
     # One Monte Carlo CSV, pinned: a change to the random stream, the OU
     # maps or the kernel's rounding moves these bytes, and is a change to
-    # every MC cell that CHANGES.md must announce. The MC bytes hold on one
-    # numpy build and SIMD target: this pin and the static one below were
-    # taken with numpy 2.4.6 dispatching to AVX512_ICL, AVX512_SPR, X86_V3
-    # and X86_V4 (the manifest's platform records a run's targets).
-    out = tmp_path / "x.csv"
+    # every MC cell that CHANGES.md must announce.
     args = (
         "--mode mc --noise ou --sigma 1.0 --tau 20.0 --protocol echo --tbar 4.0 --tmax 8.0 "
         "--points 161 --ntraj 20000 --seed 2101"
     )
-    assert main([*args.split(), "-o", str(out)]) == cli.EXIT_OK
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "a54a6a353ef7a9e2ae021534d2fcbc05d89721509405d89fe5b030ab9753d55d"
+    _check_mc_pin(tmp_path, args, {
+        _AVX512_TARGETS: "a54a6a353ef7a9e2ae021534d2fcbc05d89721509405d89fe5b030ab9753d55d",
+        ("X86_V3",): "ea83d39a088bad6ffed788a8b14d0af1d859ebcb1c6dd0e01e252629cace8af3",
+    })
 
 
 def test_mc_static_csv_bytes_pinned(tmp_path):
     # The static kernel's CSV, pinned: 20000 trajectories leave a
     # 3616-trajectory tail batch that ends in a partial group of table rows,
-    # and a change to the order of the static sums moves these bytes. Taken
-    # on the SIMD target named above.
-    out = tmp_path / "x.csv"
+    # and a change to the order of the static sums moves these bytes.
     args = (
         "--mode mc --noise static --sigma 1.0 --protocol free --tmax 8.0 "
         "--points 801 --ntraj 20000 --seed 2101"
     )
-    assert main([*args.split(), "-o", str(out)]) == cli.EXIT_OK
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "86b2e4b30fda4c7edb1695ebdbe007ba6980a429cbb017275b254bd30da93c20"
+    _check_mc_pin(tmp_path, args, {
+        _AVX512_TARGETS: "86b2e4b30fda4c7edb1695ebdbe007ba6980a429cbb017275b254bd30da93c20",
+        ("X86_V3",): "54605c523dbed062e3af89c621d0cf1afbe676481d0dfbeb9187c0fdc2fcd63a",
+    })
 
 
 MODE_ARGS = {

@@ -23,6 +23,7 @@ from oracles import (
     filter_free,
     filter_numeric,
     filter_pdd,
+    grid_index,
     ou_phase_variance,
     toggling_segments,
     toggling_transform_sq,
@@ -143,7 +144,7 @@ def test_concurrence_static_echo():
     grid = TimeGrid(8.0, 81)
     conc = _static(1.0, ECHO4, grid)
     assert conc[-1] == 1.0
-    assert conc[grid.index_of(6.0)] == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert conc[grid_index(grid, 6.0)] == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_concurrence_static_pdd_dc_limit():
@@ -158,7 +159,7 @@ def test_analytic_static_pdd_refocuses_exactly():
     for dt_pulse in (0.25, 1.0):
         series = analytic_series(NoiseModel.static(1.0), PulseProtocol.pdd(dt_pulse), grid)
         for k in range(2, int(round(8.0 / dt_pulse)) + 1, 2):
-            assert series.e_f[grid.index_of(k * dt_pulse)] == 1.0
+            assert series.e_f[grid_index(grid, k * dt_pulse)] == 1.0
 
 
 def test_spectral_free_matches_closed_form():

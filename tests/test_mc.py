@@ -17,6 +17,7 @@ from entdyn.mc import DephasingRun, _phase_block, coherence_series, run
 from entdyn.measures import concurrence_mixed, concurrence_pure
 from entdyn.noise import NoiseModel, _half_angle, trajectory_seed
 from entdyn.pulses import PulseProtocol, toggling_steps
+from cli_command import LOWERED_SIMD, run_python
 from oracles import (
     chi_free_ou,
     coherence_reference,
@@ -318,6 +319,37 @@ def test_static_tables_kept_per_worker_leave_bytes_unchanged():
         sys.setswitchinterval(interval)
 
 
+def test_bytes_unchanged_for_any_worker_count_at_lowered_simd_target():
+    # The MC bytes depend on numpy's SIMD target (float32 tan and log), so
+    # worker-count identity is checked again in a child that runs numpy at
+    # X86_V3, as an AVX2-class host would: one OU and one static echo run,
+    # two full batches and a 5-trajectory tail, at 1 and 2 workers.
+    from numpy._core import _multiarray_umath as umath
+
+    missing = set(LOWERED_SIMD.split()) - set(getattr(umath, "__cpu_dispatch__", ()))
+    if missing:
+        pytest.skip(f"numpy does not dispatch {sorted(missing)}, so it cannot disable them")
+    code = """
+from entdyn.cli import _platform
+from entdyn.grid import TimeGrid
+from entdyn.mc import DephasingRun, coherence_series
+from entdyn.noise import NoiseModel
+from entdyn.pulses import PulseProtocol
+print(*_platform()["simd_targets"])
+for noise in (NoiseModel.ou(1.0, 20.0), NoiseModel.static(1.0)):
+    cfg = DephasingRun(noise, PulseProtocol.echo(4.0), TimeGrid(8.0, 161), 2 * 8192 + 5, 241)
+    print(*(coherence_series(cfg, workers).tobytes().hex() for workers in (1, 2)))
+"""
+    result = run_python(code, NPY_DISABLE_CPU_FEATURES=LOWERED_SIMD)
+    assert result.returncode == 0, result.stderr
+    targets, *runs = result.stdout.splitlines()
+    assert not set(targets.split()) & set(LOWERED_SIMD.split())
+    assert len(runs) == 2
+    for run_bytes in runs:
+        one, two = run_bytes.split()
+        assert one == two
+
+
 def test_half_angle_matches_libm_cos_sin():
     rng = np.random.default_rng(181)
     x = np.concatenate([[0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 2 * np.pi, 1e6],
@@ -561,3 +593,16 @@ def test_run_validation():
         DephasingRun(STATIC, FREE, GRID, 0, 1)
     with pytest.raises(ValueError):
         DephasingRun(STATIC, FREE, GRID, 10, 1, initial_state=np.ones(4))
+
+
+def test_seed_and_trajectory_count_are_integers_in_range():
+    # A seed outside [0, 2^64) or a float one would alias a seed inside it
+    # as a uint64 stream key, and a float trajectory count would fail only
+    # inside the run: each is refused where it is given.
+    for seed in (2**64 + 1, -1, 1.5):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            DephasingRun(STATIC, FREE, GRID, 10, seed)
+    with pytest.raises(ValueError, match="n_traj must be an integer"):
+        DephasingRun(STATIC, FREE, GRID, 2.5, 1)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+        trajectory_seed(2**64, 0)

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from entdyn.grid import TimeGrid
 from entdyn.linalg import SIGMA_X, SIGMA_Z
 from entdyn.pulses import PulseProtocol, pulse_times, toggling_steps
-from oracles import pulse_unitary, toggling_segments
+from oracles import grid_index, pulse_unitary, toggling_segments
 
 
 def test_protocol_validation():
@@ -101,7 +101,7 @@ def test_pdd_integral_cancels_on_even_intervals():
     grid = TimeGrid(5.0, 501)
     steps = toggling_steps(PulseProtocol.pdd(0.5), grid)
     for k in (1, 2, 5):
-        assert steps[grid.index_of(2 * k * 0.5)] == 0
+        assert steps[grid_index(grid, 2 * k * 0.5)] == 0
 
 
 def test_toggling_integral_free():
