@@ -37,8 +37,6 @@ from .measures import (
 from .noise import NoiseModel, power_spectrum
 from .pulses import PulseProtocol, pulse_times, toggling_steps
 from .scenarios import (
-    JCScenario,
-    RandomFieldScenario,
     jc_ensemble,
     jc_measures,
     random_field_ensemble,
@@ -49,7 +47,6 @@ from .series import EntanglementSeries
 __all__ = [
     "DephasingRun",
     "EntanglementSeries",
-    "JCScenario",
     "NoiseModel",
     "NumericalError",
     "PHI_MINUS",
@@ -57,7 +54,6 @@ __all__ = [
     "PSI_MINUS",
     "PSI_PLUS",
     "PulseProtocol",
-    "RandomFieldScenario",
     "TimeGrid",
     "WeightedEnsemble",
     "analytic_series",

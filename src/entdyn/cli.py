@@ -31,7 +31,7 @@ from .io import write_manifest, write_series_csv
 from .mc import DephasingRun, resolve_workers, run
 from .noise import ORNSTEIN_UHLENBECK, STATIC, NoiseModel, trajectory_seed
 from .pulses import ECHO, FREE, PDD, PulseProtocol, toggling_steps
-from .scenarios import JCScenario, RandomFieldScenario, jc_measures, random_field_series
+from .scenarios import jc_measures, random_field_series
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -259,9 +259,9 @@ def execute(config: RunConfig) -> None:
     manifest = {"tool": "entdyn", "version": __version__, "platform": _platform(), "config": config.settings()}
     x_name = scale = None
     if config.mode == "randomfield":
-        series = random_field_series(RandomFieldScenario(config.omega, config.grid))
+        series = random_field_series(config.omega, config.grid)
     elif config.mode == "jc":
-        series = jc_measures(JCScenario(config.g, config.grid))
+        series = jc_measures(config.g, config.grid)
         x_name, scale = "g_t", config.g
     else:
         x_name, scale = "sigma_t", config.noise.sigma

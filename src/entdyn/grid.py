@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ class TimeGrid:
     n_points: int
 
     def __post_init__(self):
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if not 0.0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
         if self.n_points < 2:

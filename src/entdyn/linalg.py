@@ -16,9 +16,7 @@ TRACE_TOL = 1e-12
 # not roundoff, and must not be clamped away.
 EIG_FLOOR = -1e-10
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # Two-qubit Bell states in the |00>, |01>, |10>, |11> product basis
 # (qubit A is the left, most significant factor).

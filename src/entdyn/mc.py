@@ -224,11 +224,12 @@ def _static_table(x: np.ndarray, width: int, height: int, tables: list) -> np.nd
         blocks = -(-part.size // _BLOCK)
         ca, sa, cb, sb = (table[: blocks * _BLOCK] for table in rows)
         for cos, sin, counts in ((ca, sa, np.arange(width)), (cb, sb, width * np.arange(height))):
-            np.multiply.outer(part, counts, out=sin[: part.size])
-            _half_angle(sin[: part.size], cos[: part.size])  # sin holds tan(x a / 2), cos the weight w
-            sin *= cos
-            cos -= 1.0
-            cos[part.size :] = sin[part.size :] = 0.0
+            filled_cos, filled_sin = cos[: part.size], sin[: part.size]
+            np.multiply.outer(part, counts, out=filled_sin)
+            _half_angle(filled_sin, filled_cos)  # sin holds tan(x a / 2), cos the weight w
+            filled_sin *= filled_cos
+            filled_cos -= 1.0
+            cos[part.size :] = sin[part.size :] = 0.0  # pad rows may hold an earlier group's values
         ca, sa, cb, sb = (t.reshape(blocks, _BLOCK, -1) for t in (ca, sa, cb, sb))
         for acc, a, b in zip(sums, (ca, sa), (cb, sb)):
             for block in np.matmul(a.transpose(0, 2, 1), b, out=products[:blocks]):

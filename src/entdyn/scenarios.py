@@ -21,8 +21,6 @@ one time the same builder gives one ensemble.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .filters import NumericalError
@@ -34,37 +32,17 @@ from .series import EntanglementSeries
 _BLOCK = 4096  # grid points per call of the measures
 
 
-@dataclass(frozen=True)
-class RandomFieldScenario:
-    omega: float
-    grid: TimeGrid
-
-    def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError(f"rotation rate must be positive, got {self.omega!r}")
-
-
-@dataclass(frozen=True)
-class JCScenario:
-    g: float
-    grid: TimeGrid
-
-    def __post_init__(self):
-        if not self.g > 0.0:
-            raise ValueError(f"coupling must be positive, got {self.g!r}")
-
-
-def _times(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(~(t >= 0.0)):  # NaN fails
-        raise ValueError(f"time must be nonnegative, got {float(np.min(t))!r}")
-    return t
-
-
 def _half_phase(rate: float, t, name: str) -> np.ndarray:
-    """rate t / 2 over an array of times. Raises NumericalError where it overflows."""
-    with np.errstate(over="ignore"):
-        half = 0.5 * rate * _times(t)
+    """rate t / 2 over an array of times. Refuses a rate that is not > 0 and
+    a time that is not >= 0 (NaN fails both) with ValueError, and raises
+    NumericalError where the phase overflows."""
+    if not rate > 0.0:
+        raise ValueError(f"{name} must be positive, got {rate!r}")
+    t = np.asarray(t, dtype=float)
+    if np.any(~(t >= 0.0)):
+        raise ValueError(f"time must be nonnegative, got {float(np.min(t))!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite rate at t = 0 gives NaN
+        half = 0.5 * rate * t
     if not np.all(np.isfinite(half)):
         raise NumericalError(f"scenario phase {name} t / 2 is not finite for {name} = {rate!r}")
     return half
@@ -84,7 +62,7 @@ def _block_series(grid: TimeGrid, ensemble_of) -> EntanglementSeries:
     return EntanglementSeries(grid, conc, e_av)
 
 
-def random_field_ensemble(scenario: RandomFieldScenario, t) -> WeightedEnsemble:
+def random_field_ensemble(omega: float, t) -> WeightedEnsemble:
     """Equal-weight pair {x-rotated, z-rotated} of the Bell state at time t,
     stacked over an array of times.
 
@@ -92,7 +70,7 @@ def random_field_ensemble(scenario: RandomFieldScenario, t) -> WeightedEnsemble:
     with c, s the cosine and sine of omega t / 2 and b = 1/sqrt(2), the states
     (c b, -i s b, -i s b, c b) and (c b - i s b, 0, 0, c b + i s b).
     """
-    half = _half_phase(scenario.omega, t, "omega")
+    half = _half_phase(omega, t, "omega")
     cb = np.cos(half) * PHI_PLUS[0].real
     sb = np.sin(half) * PHI_PLUS[0].real
     zero = np.zeros_like(cb)
@@ -101,19 +79,19 @@ def random_field_ensemble(scenario: RandomFieldScenario, t) -> WeightedEnsemble:
     return WeightedEnsemble(np.full(cb.shape + (2,), 0.5), np.stack([x_rotated, z_rotated], axis=-2))
 
 
-def random_field_series(scenario: RandomFieldScenario) -> EntanglementSeries:
+def random_field_series(omega: float, grid: TimeGrid) -> EntanglementSeries:
     """Full revival timeline of the random-field example."""
-    return _block_series(scenario.grid, lambda times: random_field_ensemble(scenario, times))
+    return _block_series(grid, lambda times: random_field_ensemble(omega, times))
 
 
-def jc_ensemble(scenario: JCScenario, t) -> WeightedEnsemble:
+def jc_ensemble(g: float, t) -> WeightedEnsemble:
     """A-B ensemble conditioned on measuring the oscillator in {|0>, |1>} at
     time t, stacked over an array of times.
 
     p0 = (1 + c^2)/2 with state (|00> + c|11>)/sqrt(2 p0) and p1 = (1 - c^2)/2
     with product state |01>, c = cos(gt/2).
     """
-    c = np.cos(_half_phase(scenario.g, t, "g"))
+    c = np.cos(_half_phase(g, t, "g"))
     p0 = 0.5 * (1.0 + c * c)
     p1 = 0.5 * (1.0 - c * c)
     psi = np.zeros(c.shape + (2, 4), dtype=complex)
@@ -124,11 +102,11 @@ def jc_ensemble(scenario: JCScenario, t) -> WeightedEnsemble:
     return WeightedEnsemble(np.stack([p0, p1], axis=-1), psi)
 
 
-def jc_measures(scenario: JCScenario) -> EntanglementSeries:
+def jc_measures(g: float, grid: TimeGrid) -> EntanglementSeries:
     """Entanglement series of the exchange scenario.
 
     The measurement ensemble averages to the A-B state left by tracing out
     the oscillator, so its averaged state gives the concurrence (Wootters)
     and its members give E_av. The emitted gap is E_av - E_f >= 0.
     """
-    return _block_series(scenario.grid, lambda times: jc_ensemble(scenario, times))
+    return _block_series(grid, lambda times: jc_ensemble(g, times))

@@ -24,7 +24,8 @@ blocks. The hidden-entanglement report of a single ensemble, the
 closed-form filter functions of free evolution, echo and periodic
 decoupling, the exact filter function of any protocol, the spectral
 concurrence exp(-chi), the grid index of a time and the lookup of a series
-column at one time live here too: only tests use them.
+column at one time, and the Pauli matrices sx and sz live here too: only
+tests use them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from entdyn import noise, pulses
 from entdyn.filters import _check_pulses, dephasing_exponent, filter_weight
 from entdyn.grid import ON_GRID_TOL
-from entdyn.linalg import PHI_PLUS, SIGMA_X, SIGMA_Z
+from entdyn.linalg import PHI_PLUS
 from entdyn.measures import (
     WeightedEnsemble,
     average_entanglement,
@@ -48,8 +49,9 @@ from entdyn.measures import (
 )
 from entdyn.noise import NoiseModel
 from entdyn.pulses import PulseProtocol
-from entdyn.scenarios import RandomFieldScenario
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY)
 # sz eigenvalue of qubit A on each two-qubit basis state |ab>
@@ -348,8 +350,9 @@ def reduced_state(psi: np.ndarray, dim: int) -> np.ndarray:
     return np.einsum("ik,jk->ij", amplitudes, amplitudes.conj())
 
 
-def scenario_series_pointwise(scenario) -> SimpleNamespace:
-    """Measures of a scenario point by point over its grid.
+def scenario_series_pointwise(name: str, rate: float, grid) -> SimpleNamespace:
+    """Measures of scenario ``name`` ("randomfield" or "jc") at ``rate``
+    point by point over a grid.
 
     Random fields: the members are exp(-i G omega t / 2) x 1 applied to
     |phi+> for G = sx, sz, each with weight 1/2. Exchange: the tripartite
@@ -358,20 +361,20 @@ def scenario_series_pointwise(scenario) -> SimpleNamespace:
     `takagi_concurrence` of the weighted members, E_av from the members'
     Schmidt coefficients.
     """
-    times = scenario.grid.times
+    times = grid.times
     conc = np.empty(times.size)
     e_av = np.empty(times.size)
-    if isinstance(scenario, RandomFieldScenario):
+    if name == "randomfield":
         for j, t in enumerate(times):
             members = [
-                np.kron(_evolution(0.5 * scenario.omega * gen, t), np.eye(2)) @ PHI_PLUS
+                np.kron(_evolution(0.5 * rate * gen, t), np.eye(2)) @ PHI_PLUS
                 for gen in (SIGMA_X, SIGMA_Z)
             ]
             conc[j] = takagi_concurrence(np.array(members).T * math.sqrt(0.5))
             e_av[j] = 0.5 * _schmidt_entropy(np.array(members)).sum()
     else:
         for j, t in enumerate(times):
-            branches = exchange_state(scenario.g, t).reshape(4, 2)  # (A-B, oscillator)
+            branches = exchange_state(rate, t).reshape(4, 2)  # (A-B, oscillator)
             conc[j] = takagi_concurrence(branches)
             probs = np.sum(np.abs(branches) ** 2, axis=0)
             live = probs > 1e-12

@@ -24,12 +24,7 @@ from entdyn.measures import (
 )
 from entdyn.noise import NoiseModel
 from entdyn.pulses import PulseProtocol
-from entdyn.scenarios import (
-    JCScenario,
-    RandomFieldScenario,
-    jc_measures,
-    random_field_series,
-)
+from entdyn.scenarios import jc_measures, random_field_series
 from cli_command import run_entdyn
 from oracles import (
     concurrence_spectral,
@@ -235,7 +230,7 @@ def test_mc_cells_within_standard_error(analytic_cells):
 
 
 def test_criterion_6_random_field_timeline():
-    series = random_field_series(RandomFieldScenario(1.0, TimeGrid(2.0 * math.pi, 401)))
+    series = random_field_series(1.0, TimeGrid(2.0 * math.pi, 401))
     tbar = math.pi
     report(
         "criterion 6 (random-field timeline)",
@@ -249,10 +244,10 @@ def test_criterion_6_random_field_timeline():
 
 
 def test_criterion_7_jc_scenario():
-    scenario = JCScenario(1.0, TimeGrid(2.0 * math.pi, 401))
-    series = jc_measures(scenario)
+    grid = TimeGrid(2.0 * math.pi, 401)
+    series = jc_measures(1.0, grid)
     layer_dev = 0.0
-    for j, t in enumerate(scenario.grid.times):
+    for j, t in enumerate(grid.times):
         e_f_closed, e_av_closed = jc_closed_form(math.cos(0.5 * t) ** 2)
         layer_dev = max(
             layer_dev,

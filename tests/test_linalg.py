@@ -6,15 +6,13 @@ from entdyn.linalg import (
     PHI_MINUS,
     PHI_PLUS,
     PSI_PLUS,
-    SIGMA_X,
-    SIGMA_Z,
     check_density_matrix,
     check_hermitian,
     check_state_vector,
     hermitian_eigen,
     projector,
 )
-from oracles import random_density, random_hermitian, random_state
+from oracles import SIGMA_X, SIGMA_Z, random_density, random_hermitian, random_state
 
 
 def test_tensor_x_rotation_maps_phi_plus_to_psi_plus():

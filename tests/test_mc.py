@@ -135,6 +135,20 @@ def test_static_table_refocuses_exactly(case):
     assert np.all(coherence_series(cfg)[refocus] == 1.0)
 
 
+def test_static_table_pad_rows_take_no_arithmetic():
+    # Five trajectories fill 5 rows of a 256-row block. The pad rows hold
+    # what an earlier group left, here inf cosines and zero sines, whose
+    # product is invalid: they must only be zeroed.
+    x = 0.1 * np.arange(1, 6)
+    width, height = 3, 2
+    fills = ((width, np.inf), (width, 0.0), (height, np.inf), (height, 0.0))  # Ca, Sa, Cb, Sb
+    tables = [np.full((mc._BLOCK, n), fill) for n, fill in fills] + [np.empty((1, width, height))]
+    with np.errstate(all="raise"):
+        table = mc._static_table(x, width, height, tables)
+    counts = np.arange(width)[:, None] + width * np.arange(height)
+    assert_allclose(table, np.cos(np.multiply.outer(counts, x)).sum(axis=-1), rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

@@ -3,9 +3,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from entdyn.grid import TimeGrid
-from entdyn.linalg import SIGMA_X, SIGMA_Z
 from entdyn.pulses import PulseProtocol, pulse_times, toggling_steps
-from oracles import grid_index, pulse_unitary, toggling_segments
+from oracles import SIGMA_X, SIGMA_Z, grid_index, pulse_unitary, toggling_segments
 
 
 def test_protocol_validation():

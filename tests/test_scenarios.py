@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from entdyn import linalg, measures
+from entdyn.filters import NumericalError
 from entdyn.grid import TimeGrid
 from entdyn.linalg import PHI_MINUS, PHI_PLUS, PSI_PLUS, projector
 from entdyn.measures import (
@@ -13,18 +14,10 @@ from entdyn.measures import (
     concurrence_mixed,
     eof_from_concurrence,
 )
-from entdyn.scenarios import (
-    JCScenario,
-    RandomFieldScenario,
-    jc_ensemble,
-    jc_measures,
-    random_field_ensemble,
-    random_field_series,
-)
+from entdyn.scenarios import jc_ensemble, jc_measures, random_field_ensemble, random_field_series
 from oracles import exchange_state, jc_closed_form, reduced_state, scenario_series_pointwise, value_at
 
-RF = RandomFieldScenario(omega=1.0, grid=TimeGrid(2.0 * math.pi, 401))
-JC = JCScenario(g=1.0, grid=TimeGrid(2.0 * math.pi, 401))
+GRID = TimeGrid(2.0 * math.pi, 401)
 TBAR = math.pi  # both scenarios put the entanglement zero at t = pi for unit rates
 
 
@@ -34,14 +27,14 @@ def equal_up_to_phase(a, b, atol=1e-12):
 
 
 def test_random_field_ensemble_initial():
-    ens = random_field_ensemble(RF, 0.0)
+    ens = random_field_ensemble(1.0, 0.0)
     for p, psi in zip(ens.probs, ens.states):
         assert p == 0.5
         assert equal_up_to_phase(psi, PHI_PLUS)
 
 
 def test_random_field_ensemble_at_tbar():
-    ens = random_field_ensemble(RF, TBAR)
+    ens = random_field_ensemble(1.0, TBAR)
     psi_x, psi_z = ens.states
     assert equal_up_to_phase(psi_x, PSI_PLUS)  # x rotation maps phi+ to psi+
     assert equal_up_to_phase(psi_z, PHI_MINUS)
@@ -51,12 +44,12 @@ def test_random_field_ensemble_at_tbar():
 
 
 def test_random_field_ensemble_at_revival():
-    for psi in random_field_ensemble(RF, 2.0 * TBAR).states:
+    for psi in random_field_ensemble(1.0, 2.0 * TBAR).states:
         assert equal_up_to_phase(psi, PHI_PLUS)
 
 
 def test_random_field_series_timeline():
-    series = random_field_series(RF)
+    series = random_field_series(1.0, GRID)
     assert value_at(series, 0.0, "e_f") == pytest.approx(1.0, abs=1e-9)
     assert value_at(series, TBAR, "e_f") <= 1e-9
     assert value_at(series, TBAR, "e_hidden") == pytest.approx(1.0, abs=1e-9)
@@ -67,7 +60,7 @@ def test_random_field_series_timeline():
 
 def test_random_field_series_periodicity():
     grid = TimeGrid(4.0 * math.pi, 41)
-    series = random_field_series(RandomFieldScenario(omega=1.0, grid=grid))
+    series = random_field_series(1.0, grid)
     half = 20  # index of t = 2 pi
     assert np.max(np.abs(series.e_f[: half + 1] - series.e_f[half:])) <= 1e-9
 
@@ -77,14 +70,14 @@ def test_random_field_series_periodicity():
 
 
 def test_jc_state_initial():
-    psi = exchange_state(JC.g, 0.0)
+    psi = exchange_state(1.0, 0.0)
     expected = np.zeros(8, dtype=complex)
     expected[0] = expected[6] = 1.0 / math.sqrt(2.0)
     assert_allclose(psi, expected, atol=1e-15)
 
 
 def test_jc_state_at_swap():
-    psi = exchange_state(JC.g, TBAR)
+    psi = exchange_state(1.0, TBAR)
     expected = np.zeros(8, dtype=complex)
     expected[0] = 1.0 / math.sqrt(2.0)
     expected[3] = -1j / math.sqrt(2.0)
@@ -97,39 +90,39 @@ def test_jc_state_at_swap():
 def test_jc_state_entanglement_revival_at_two_tbar():
     # The excited branch returns with the 2 pi Rabi minus sign: the state at
     # 2 tbar is (|00> - |11>)/sqrt(2) x |0_O>, maximally entangled again.
-    psi = exchange_state(JC.g, 2.0 * TBAR)
+    psi = exchange_state(1.0, 2.0 * TBAR)
     expected = np.zeros(8, dtype=complex)
     expected[0], expected[6] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
     assert equal_up_to_phase(psi, expected)
     assert concurrence_mixed(reduced_state(psi, 4)) == pytest.approx(1.0, abs=1e-12)
-    assert concurrence_mixed(jc_ensemble(JC, 2.0 * TBAR).density_matrix()) == pytest.approx(1.0, abs=1e-12)
+    assert concurrence_mixed(jc_ensemble(1.0, 2.0 * TBAR).density_matrix()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jc_state_full_period():
-    assert equal_up_to_phase(exchange_state(JC.g, 4.0 * TBAR), exchange_state(JC.g, 0.0))
+    assert equal_up_to_phase(exchange_state(1.0, 4.0 * TBAR), exchange_state(1.0, 0.0))
 
 
 def test_jc_state_normalized_on_grid():
-    for t in JC.grid.times[::25]:
-        assert abs(np.linalg.norm(exchange_state(JC.g, float(t))) - 1.0) <= 1e-12
+    for t in GRID.times[::25]:
+        assert abs(np.linalg.norm(exchange_state(1.0, float(t))) - 1.0) <= 1e-12
 
 
 def test_jc_ensemble_initial():
     # the one-photon member is kept at probability 0
-    ens = jc_ensemble(JC, 0.0)
+    ens = jc_ensemble(1.0, 0.0)
     assert_allclose(ens.probs, [1.0, 0.0], atol=1e-12)
     assert equal_up_to_phase(ens.states[0], PHI_PLUS)
 
 
 def test_jc_ensemble_at_swap_is_product():
-    ens = jc_ensemble(JC, TBAR)
+    ens = jc_ensemble(1.0, TBAR)
     probs = sorted(ens.probs)
     assert_allclose(probs, [0.5, 0.5], atol=1e-12)
     assert average_entanglement(ens) <= 1e-12
 
 
 def test_jc_ensemble_probabilities():
-    ens = jc_ensemble(JC, 2.0 * math.pi / 3.0)  # eta = 1/4
+    ens = jc_ensemble(1.0, 2.0 * math.pi / 3.0)  # eta = 1/4
     p0, p1 = ens.probs
     assert p0 == pytest.approx(0.625, abs=1e-12)
     assert p1 == pytest.approx(0.375, abs=1e-12)
@@ -138,13 +131,13 @@ def test_jc_ensemble_probabilities():
 def test_jc_ensemble_reproduces_traced_state():
     # the one-photon branch phase must cancel between the two routes
     for t in np.linspace(0.0, 2.0 * math.pi, 41):
-        rho_traced = reduced_state(exchange_state(JC.g, float(t)), 4)
-        rho_ensemble = jc_ensemble(JC, float(t)).density_matrix()
+        rho_traced = reduced_state(exchange_state(1.0, float(t)), 4)
+        rho_ensemble = jc_ensemble(1.0, float(t)).density_matrix()
         assert np.max(np.abs(rho_traced - rho_ensemble)) <= 1e-9
 
 
 def test_jc_measures_endpoints():
-    series = jc_measures(JC)
+    series = jc_measures(1.0, GRID)
     assert value_at(series, 0.0, "e_f") == pytest.approx(1.0, abs=1e-9)
     assert abs(value_at(series, 0.0, "e_hidden")) <= 1e-9
     assert value_at(series, TBAR, "e_f") <= 1e-9
@@ -154,7 +147,7 @@ def test_jc_measures_endpoints():
 
 def test_jc_measures_gap_reference_value():
     # eta = 0.5 at g t = pi/2, on the 401-point grid exactly
-    series = jc_measures(JC)
+    series = jc_measures(1.0, GRID)
     gap = value_at(series, math.pi / 2.0, "e_hidden")
     e_f, e_av = jc_closed_form(0.5)
     assert gap == pytest.approx(e_av - e_f, abs=1e-9)
@@ -162,8 +155,8 @@ def test_jc_measures_gap_reference_value():
 
 
 def test_jc_measures_layers_agree():
-    series = jc_measures(JC)
-    for j, t in enumerate(JC.grid.times):
+    series = jc_measures(1.0, GRID)
+    for j, t in enumerate(GRID.times):
         eta = math.cos(0.5 * t) ** 2
         e_f_closed, e_av_closed = jc_closed_form(eta)
         assert abs(series.e_f[j] - e_f_closed) <= 1e-9
@@ -172,41 +165,44 @@ def test_jc_measures_layers_agree():
 
 
 def test_jc_measures_gap_small_and_nonnegative():
-    series = jc_measures(JC)
+    series = jc_measures(1.0, GRID)
     assert np.min(series.e_hidden) >= -1e-9
     assert 0.05 <= np.max(series.e_hidden) <= 0.2  # well below the initial entanglement
 
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        RandomFieldScenario(omega=0.0, grid=RF.grid)
+        random_field_series(0.0, GRID)
     with pytest.raises(ValueError):
-        JCScenario(g=-1.0, grid=JC.grid)
+        jc_measures(-1.0, GRID)
     with pytest.raises(ValueError):
-        jc_ensemble(JC, -0.1)
+        jc_ensemble(1.0, -0.1)
+    for rate in (0.0, float("nan")):
+        with pytest.raises(ValueError, match=f"^omega must be positive, got {rate!r}$"):
+            random_field_ensemble(rate, 1.0)
+        with pytest.raises(ValueError, match=f"^g must be positive, got {rate!r}$"):
+            jc_ensemble(rate, 1.0)
+    with pytest.raises(NumericalError, match="not finite"):
+        random_field_ensemble(math.inf, GRID.times)
 
 
-@pytest.mark.parametrize("ensemble_of, scenario", [(jc_ensemble, JC), (random_field_ensemble, RF)])
-def test_nan_time_is_rejected(ensemble_of, scenario):
-    times = scenario.grid.times.copy()
+@pytest.mark.parametrize("ensemble_of", [jc_ensemble, random_field_ensemble])
+def test_nan_time_is_rejected(ensemble_of):
+    times = GRID.times.copy()
     times[3] = np.nan
     with pytest.raises(ValueError, match="time must be nonnegative, got nan"):
-        ensemble_of(scenario, times)
+        ensemble_of(1.0, times)
 
 
-SCENARIOS = {
-    "randomfield": (RandomFieldScenario, random_field_series, 1.0),
-    "jc": (JCScenario, jc_measures, 1.0),
-}
+SCENARIOS = {"randomfield": random_field_series, "jc": jc_measures}
 
 
 @pytest.mark.parametrize("points", [401, 4097])  # 4097 crosses a block edge
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_stacked_series_match_pointwise_oracle(name, points):
-    build, series_of, rate = SCENARIOS[name]
-    scenario = build(rate, TimeGrid(2.0 * math.pi, points))
-    series = series_of(scenario)
-    reference = scenario_series_pointwise(scenario)
+    grid = TimeGrid(2.0 * math.pi, points)
+    series = SCENARIOS[name](1.0, grid)
+    reference = scenario_series_pointwise(name, 1.0, grid)
     for column in ("concurrence", "e_f", "e_av", "e_hidden"):
         assert np.max(np.abs(getattr(series, column) - getattr(reference, column))) <= 1e-12, column
 
@@ -234,8 +230,7 @@ def test_measures_run_once_per_block(monkeypatch, name):
     eigen = _count_calls(monkeypatch, linalg, "hermitian_eigen")
     entropy = _count_calls(monkeypatch, measures, "entropy_of_entanglement")
     eof = _count_calls(monkeypatch, measures, "eof_from_concurrence")
-    build, series_of, rate = SCENARIOS[name]
-    series_of(build(rate, TimeGrid(2.0 * math.pi, 4097)))
+    SCENARIOS[name](1.0, TimeGrid(2.0 * math.pi, 4097))
     assert wootters == [(4096, 4, 4), (1, 4, 4)]
     assert eigen == [(4096, 4, 4), (1, 4, 4)]
     assert entropy == [(4096, 2, 4), (1, 2, 4)]
@@ -243,12 +238,12 @@ def test_measures_run_once_per_block(monkeypatch, name):
     assert eof == [(4096, 2), (1, 2), (4097,)]
 
 
-@pytest.mark.parametrize("ensemble_of, scenario", [(random_field_ensemble, RF), (jc_ensemble, JC)])
-def test_ensemble_over_times_equals_each_time(ensemble_of, scenario):
-    times = scenario.grid.times
-    stacked = ensemble_of(scenario, times)
+@pytest.mark.parametrize("ensemble_of", [random_field_ensemble, jc_ensemble])
+def test_ensemble_over_times_equals_each_time(ensemble_of):
+    times = GRID.times
+    stacked = ensemble_of(1.0, times)
     assert stacked.probs.shape == (times.size, 2) and stacked.states.shape == (times.size, 2, 4)
     for j, t in enumerate(times):
-        single = ensemble_of(scenario, float(t))
+        single = ensemble_of(1.0, float(t))
         assert_array_equal(stacked.probs[j], single.probs)
         assert_array_equal(stacked.states[j], single.states)

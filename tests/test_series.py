@@ -8,6 +8,13 @@ from oracles import eof_of_concurrence
 GRID = TimeGrid(2.0, 5)
 
 
+@pytest.mark.parametrize("n_points", [2.5, 801.0])
+def test_grid_rejects_non_integer_point_count(n_points):
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        TimeGrid(8.0, n_points)
+    assert TimeGrid(8.0, np.int64(801)).dt == pytest.approx(0.01)
+
+
 def test_series_derives_eof_and_gap():
     conc = np.array([1.0, 0.8, 0.5, 0.1, 0.0])
     e_av = np.array([1.0, 0.9, 0.9, 0.7, 0.6])
