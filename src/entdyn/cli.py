@@ -275,9 +275,12 @@ def execute(config: RunConfig) -> None:
             manifest["engine"] = ANALYTIC_ENGINES[config.noise.kind]
             series = analytic_series(config.noise, config.protocol, config.grid)
 
+    engine_end = time.perf_counter()
     x_values = None if scale is None else scale * series.times
     manifest.update(x_column=x_name, columns=write_series_csv(config.output_path, series, x_values))
-    manifest["duration_seconds"] = time.perf_counter() - start
+    end = time.perf_counter()
+    manifest["stages"] = {"engine": engine_end - start, "csv": end - engine_end}
+    manifest["duration_seconds"] = end - start
     write_manifest(config.output_path + ".manifest.json", manifest)
 
 

@@ -13,10 +13,19 @@ which here gives a small average-vs-formation gap: the entanglement loss is
 genuine transfer to the mode, not missing classical information.
 
 Each scenario is one ensemble builder, a closed form over an array of
-times. Both series run it through the same stage: in blocks of at most 4096
-points, the Wootters concurrence of the ensemble's averaged state and the
-ensemble's average entanglement, one call of each measure per block. At
-one time the same builder gives one ensemble.
+times, and one series in closed form. The Wootters lambdas of a two-member
+mixture sum_k p_k |psi_k><psi_k| are the singular values of the 2 x 2
+matrix tau_ij = sqrt(p_i p_j) B(psi_i, psi_j), with
+B(a, b) = a00 b11 + a11 b00 - a01 b10 - a10 b01, so C = s_1 - s_2 for s_1 >= s_2.
+With c = cos(rate t / 2):
+- random fields: tau = [[1, c^2], [c^2, 1]] / 2, so C = c^2;
+  each member is a local unitary image of phi+, so E_av = 1;
+- exchange: tau = diag(c, 0), so C = |c|; the member (|00> + c|11>) /
+  sqrt(2 p0) of weight p0 = (1 + c^2) / 2 has concurrence 2|c| / (1 + c^2)
+  and the product member none, so E_av = p0 EoF(2|c| / (1 + c^2)).
+The builders' ensembles give the same columns through the Wootters
+procedure (`concurrence_mixed`) and `average_entanglement`; no run calls
+them.
 """
 
 from __future__ import annotations
@@ -26,10 +35,8 @@ import numpy as np
 from .filters import NumericalError
 from .grid import TimeGrid
 from .linalg import PHI_PLUS
-from .measures import WeightedEnsemble, average_entanglement, concurrence_mixed
+from .measures import WeightedEnsemble, eof_from_concurrence
 from .series import EntanglementSeries
-
-_BLOCK = 4096  # grid points per call of the measures
 
 
 def _half_phase(rate: float, t, name: str) -> np.ndarray:
@@ -46,20 +53,6 @@ def _half_phase(rate: float, t, name: str) -> np.ndarray:
     if not np.all(np.isfinite(half)):
         raise NumericalError(f"scenario phase {name} t / 2 is not finite for {name} = {rate!r}")
     return half
-
-
-def _block_series(grid: TimeGrid, ensemble_of) -> EntanglementSeries:
-    """Series from ``ensemble_of(times) -> WeightedEnsemble``, built once per
-    block: the Wootters concurrence of its averaged state and its E_av."""
-    times = grid.times
-    conc = np.empty(grid.n_points)
-    e_av = np.empty(grid.n_points)
-    for start in range(0, grid.n_points, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        ensemble = ensemble_of(times[block])
-        conc[block] = concurrence_mixed(ensemble.density_matrix())
-        e_av[block] = average_entanglement(ensemble)
-    return EntanglementSeries(grid, conc, e_av)
 
 
 def random_field_ensemble(omega: float, t) -> WeightedEnsemble:
@@ -80,8 +73,9 @@ def random_field_ensemble(omega: float, t) -> WeightedEnsemble:
 
 
 def random_field_series(omega: float, grid: TimeGrid) -> EntanglementSeries:
-    """Full revival timeline of the random-field example."""
-    return _block_series(grid, lambda times: random_field_ensemble(omega, times))
+    """Full revival timeline of the random-field example: C = cos^2(omega t / 2), E_av = 1."""
+    c = np.cos(_half_phase(omega, grid.times, "omega"))
+    return EntanglementSeries(grid, c * c, 1.0)
 
 
 def jc_ensemble(g: float, t) -> WeightedEnsemble:
@@ -103,10 +97,9 @@ def jc_ensemble(g: float, t) -> WeightedEnsemble:
 
 
 def jc_measures(g: float, grid: TimeGrid) -> EntanglementSeries:
-    """Entanglement series of the exchange scenario.
-
-    The measurement ensemble averages to the A-B state left by tracing out
-    the oscillator, so its averaged state gives the concurrence (Wootters)
-    and its members give E_av. The emitted gap is E_av - E_f >= 0.
-    """
-    return _block_series(grid, lambda times: jc_ensemble(g, times))
+    """Entanglement series of the exchange scenario: with c = cos(g t / 2) and
+    p0 = (1 + c^2) / 2, C = |c| (the A-B state with the oscillator traced
+    out) and E_av = p0 EoF(2|c| / (1 + c^2)). The gap E_av - E_f is >= 0."""
+    c = np.abs(np.cos(_half_phase(g, grid.times, "g")))
+    p0 = 0.5 * (1.0 + c * c)
+    return EntanglementSeries(grid, c, p0 * eof_from_concurrence(c / p0))

@@ -224,6 +224,26 @@ def test_manifest_records_platform(tmp_path, monkeypatch, exposed):
         assert recorded["simd_targets"] is None
 
 
+@pytest.mark.parametrize("args", [
+    "--mode mc --noise static --sigma 1 --points 41 --ntraj 100",
+    "--mode analytic --noise ou --sigma 1 --tau 20 --points 41",
+    "--mode randomfield --points 41",
+    "--mode jc --points 41",
+], ids=["mc", "analytic", "randomfield", "jc"])
+def test_manifest_records_stages(tmp_path, args):
+    # seconds per stage of the run: the engine's series, then the CSV write
+    import json
+
+    out = tmp_path / "x.csv"
+    execute(parse_config(f"{args} -o {out}".split()))
+    with open(str(out) + ".manifest.json") as handle:
+        manifest = json.load(handle)
+    stages = manifest["stages"]
+    assert set(stages) == {"engine", "csv"}
+    assert all(value >= 0.0 for value in stages.values())
+    assert stages["engine"] + stages["csv"] <= manifest["duration_seconds"]
+
+
 def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["--mode", "mc"]) == cli.EXIT_CONFIG
     capsys.readouterr()

@@ -207,35 +207,46 @@ def test_stacked_series_match_pointwise_oracle(name, points):
         assert np.max(np.abs(getattr(series, column) - getattr(reference, column))) <= 1e-12, column
 
 
-def _count_calls(monkeypatch, module, attr):
-    """Wrap ``module.attr`` and every package-level name bound to it; return the call list."""
+BUILDERS = {"randomfield": random_field_ensemble, "jc": jc_ensemble}
+
+
+@pytest.mark.parametrize("points", [401, 4097])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_series_match_wootters_on_builder_ensembles(name, points):
+    # the closed forms against the Wootters procedure and the members'
+    # entropies on the builder's ensemble, stacked over the grid times
+    grid = TimeGrid(2.0 * math.pi, points)
+    assert np.min(np.abs(grid.times - math.pi)) <= 1e-15  # C = 0 there
+    series = SCENARIOS[name](1.0, grid)
+    ensemble = BUILDERS[name](1.0, grid.times)
+    assert np.max(np.abs(series.concurrence - concurrence_mixed(ensemble.density_matrix()))) <= 1e-12
+    assert np.max(np.abs(series.e_av - average_entanglement(ensemble))) <= 1e-12
+
+
+def _forbid(monkeypatch, module, attr):
+    """Make ``module.attr`` and every package-level name bound to it raise."""
     target = getattr(module, attr)
-    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return target(*args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{attr} called")
 
+    monkeypatch.setattr(module, attr, forbidden)
     for name, mod in list(sys.modules.items()):
         if name == "entdyn" or name.startswith("entdyn."):
             for key, value in list(vars(mod).items()):
                 if value is target:
-                    monkeypatch.setattr(mod, key, counted)
-    return calls
+                    monkeypatch.setattr(mod, key, forbidden)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_measures_run_once_per_block(monkeypatch, name):
-    wootters = _count_calls(monkeypatch, measures, "concurrence_mixed")
-    eigen = _count_calls(monkeypatch, linalg, "hermitian_eigen")
-    entropy = _count_calls(monkeypatch, measures, "entropy_of_entanglement")
-    eof = _count_calls(monkeypatch, measures, "eof_from_concurrence")
-    SCENARIOS[name](1.0, TimeGrid(2.0 * math.pi, 4097))
-    assert wootters == [(4096, 4, 4), (1, 4, 4)]
-    assert eigen == [(4096, 4, 4), (1, 4, 4)]
-    assert entropy == [(4096, 2, 4), (1, 2, 4)]
-    # the members' entropies per block, then E_f over the whole series
-    assert eof == [(4096, 2), (1, 2), (4097,)]
+def test_series_run_no_eigensolver(monkeypatch, name):
+    # the series are closed forms: no Wootters procedure, no eigensolve
+    _forbid(monkeypatch, measures, "concurrence_mixed")
+    _forbid(monkeypatch, linalg, "hermitian_eigen")
+    _forbid(monkeypatch, np.linalg, "eigh")
+    _forbid(monkeypatch, np.linalg, "eigvalsh")
+    series = SCENARIOS[name](1.0, TimeGrid(2.0 * math.pi, 4097))
+    assert series.concurrence.shape == (4097,)
 
 
 @pytest.mark.parametrize("ensemble_of", [random_field_ensemble, jc_ensemble])
