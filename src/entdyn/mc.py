@@ -26,18 +26,18 @@ kernel its structure allows:
   float64 matrix (`_ou_maps`), built once per run and read by every worker.
   Each chunk hashes its counters into Gaussians (`noise.gaussian_block`),
   applies its map in one product (`_phase_block`) and takes a float32 sum of
-  1 - cos phi over each row; the batch sums are float64, and
-  m = 1 - sum / N <= 1. Every chunk is drawn into the same two small
-  buffers and no (n_points, batch) array is formed: the memory per batch is
-  O(batch x _ROWS), whatever the number of grid points. The phases are
-  those of the step-by-step recursion to float64 roundoff, and m is within
-  ~1e-6 of a float64 cos-and-sum of them up to sigma tmax 8000 at least.
+  sin^2(phi/2) = (1 - cos phi) / 2 over each row; the batch sums are
+  float64, and m = 1 - 2 sum / N <= 1. Every chunk is drawn into the same
+  two small buffers and no (n_points, batch) array is formed: the memory
+  per batch is O(batch x _ROWS), whatever the number of grid points. The
+  phases are those of the step-by-step recursion to float64 roundoff, and
+  m is within ~1e-6 of a float64 cos-and-sum of them to sigma tmax 8000.
 
-Both kernels take cos phi = w - 1, sin phi = t w and 1 - cos phi = t^2 w
-from one tangent t = tan(phi/2), w = 2 / (1 + t^2) (`noise._half_angle`):
-numpy's tan is vectorized, its float64 cos and sin are not. The test suite
-checks the measures against a stepwise-propagator engine that applies the
-interval propagators and the pulse unitaries to each trajectory's state.
+numpy vectorizes the OU kernel's float32 sin on every x86 SIMD target; the
+float64 static tables take cos and sin from one tangent (`noise._half_angle`).
+The test suite checks the measures against a stepwise-propagator engine that
+applies the interval propagators and the pulse unitaries to each trajectory's
+state.
 
 Determinism contract: trajectories are keyed by (master_seed, index), batch
 boundaries are fixed, and each batch's sum is added to one running total in
@@ -155,8 +155,8 @@ def _phase_block(ou_map: np.ndarray, chunk: np.ndarray, out: np.ndarray) -> np.n
 def _ou_sums(keys: np.ndarray, maps: list[np.ndarray], reduce: bool) -> np.ndarray:
     """sum_k (1 - cos phi[j, k]) for each grid row j over the OU paths of
     ``keys``, one chunk of rows per map of `_ou_maps`: Gaussians, the map,
-    then float32 row sums of t^2 w = 1 - cos phi, from t = tan(phi/2) and
-    w = 2 / (1 + t^2). Each term is >= 0, so the mean 1 - sum / n is <= 1.
+    then float32 row sums of sin^2(phi/2) = (1 - cos phi) / 2, doubled in
+    float64. Each term is >= 0, so the mean 1 - sum / n is <= 1.
 
     Rounding phi/2 to float32 moves the angle by up to |phi| 2^-25. With
     ``reduce``, phi/2 is first reduced mod pi in float64 as
@@ -165,21 +165,19 @@ def _ou_sums(keys: np.ndarray, maps: list[np.ndarray], reduce: bool) -> np.ndarr
     ~60x a rint per element. A chunk where float32 overflows some phi/2 is left
     as it is: its inf makes m not finite, and the run fails on that.
 
-    The row sums are float32 too. Where m is near 1 the terms and their
-    sum are near 0, so a batch of 8192 resolves m to ~6-8e-9 where m > 0.9
-    (a sum of w near 2 would resolve it only to ~1.3e-7); the largest error
-    over all rows is ~1.1e-7, from the float32 tangent where phi is large.
+    The row sums are float32 too. Where m is near 1 the terms are near 0, so
+    a batch of 8192 resolves m to ~4e-9 where m > 0.9; the largest error is
+    ~1.2e-7, from the float32 sine where phi is large (four OU cells against
+    a float64 cos-and-sum, one reduced).
 
-    Every chunk is drawn into the same two float64 buffers. The Gaussians'
-    hash runs in the map's output rows, and the float32 pair (t, w) lives in
-    the input's Gaussian rows once the map has been applied, so the working
-    set is that of the two buffers."""
+    Every chunk is drawn into the same two float64 buffers, the working set:
+    the Gaussians' hash runs in the map's output rows, and the float32
+    sin(phi/2) in the input's Gaussian rows once the map has been applied."""
     rows = 2 * (len(maps[0]) // 2)  # the longest chunk, rounded up to even
     sums = np.empty(sum(len(m) - 1 for m in maps))
     chunk = np.zeros((rows + 2, keys.size))  # [eps_prev; phi_prev; Gaussians]
     phase = np.empty((rows + 1, keys.size))  # [phi rows; last eps row]
     t_all = _float32_rows(chunk[2:], rows)
-    w_all = _float32_rows(chunk[2 + rows // 2 :], rows)
     start = 0
     for ou_map in maps:
         count = len(ou_map) - 1
@@ -187,19 +185,17 @@ def _ou_sums(keys: np.ndarray, maps: list[np.ndarray], reduce: bool) -> np.ndarr
         phi = _phase_block(ou_map, chunk[: count + 2], phase[: count + 1])
         chunk[0] = phi[count]
         chunk[1] = phi[count - 1]
-        t, w = t_all[:count], w_all[:count]
-        np.multiply(phi[:count], 0.5, out=t, casting="same_kind")
+        t = np.multiply(phi[:count], 0.5, out=t_all[:count], casting="same_kind")
         if reduce and np.isfinite(t).all():  # else some float32 phi/2 is inf, and m too
             half = phi[:count]
             half *= 0.5
             half -= math.pi * np.rint(half / math.pi)
             np.copyto(t, half, casting="same_kind")
-        _half_angle(t, w)  # t is tan(phi/2) now
-        t *= t
-        t *= w  # t^2 w = 1 - cos phi >= 0
+        np.sin(t, out=t)
+        t *= t  # sin^2(phi/2) = (1 - cos phi) / 2 >= 0
         sums[start : start + count] = t.sum(axis=1)
         start += count
-    return sums
+    return 2.0 * sums
 
 
 def _static_table(x: np.ndarray, width: int, height: int, tables: list) -> np.ndarray:
@@ -263,9 +259,8 @@ def coherence_series(run: DephasingRun, workers: int | None = None) -> np.ndarra
     else:  # one set of maps, read by every batch
         with np.errstate(over="ignore", invalid="ignore"):  # run() checks m(t)
             maps = _ou_maps(run.noise, run.grid, steps, min(_ROWS, run.grid.n_points))
-        # sd(phi(t)) <= sigma t for any protocol, and up to sigma t_max 80 the
-        # float32 phi/2 leaves m within 1e-6 of float64: no reduction there,
-        # where it would add a third to a half to the run's time.
+        # sd(phi(t)) <= sigma t for any protocol; up to sigma t_max 80 the float32 phi/2
+        # leaves m within 1e-6 of float64, and reducing would add ~43% (46 -> 66 ms a batch).
         reduce = run.noise.sigma * run.grid.t_max > _REDUCE_ABOVE
 
     # Each worker thread keeps its static tables across its batches, so

@@ -6,17 +6,14 @@ Sampling is counter-based: every (stream, pair index) maps through a
 splitmix64-style mixing function to one 64-bit hash, whose two 32-bit halves
 are the radius and angle uniforms of one Box-Muller pair, run in float32:
 two Gaussians per hash, with the tail cut at sqrt(64 ln 2) = 6.66 sigma
-(about 3e-11 per draw). Box-Muller takes the cos and sin of its angle
-2 pi v from one tangent, tan(pi v), by the half-angle identity
-(`_half_angle`, which the Monte Carlo reduction uses too). There is no
-generator state, so results are byte-identical for a given (model, seed,
-grid) regardless of batching, thread count, call order, or how the time
-axis is cut into chunks: any run of counters starting at an even one can be
-drawn on its own. `gaussian_block` returns them time-major, one counter of
-every stream per row. `sample_block` draws static noise, one offset per
-stream; the Monte Carlo applies the OU recursion itself, as one linear map
-per chunk of time rows (`mc._ou_maps`), to a few rows of Gaussians at a
-time.
+(about 3e-11 per draw). There is no generator state, so results are
+byte-identical for a given (model, seed, grid) regardless of batching,
+thread count, call order, or how the time axis is cut into chunks: any run
+of counters starting at an even one can be drawn on its own.
+`gaussian_block` returns them time-major, one counter of every stream per
+row. `sample_block` draws static noise, one offset per stream; the Monte
+Carlo applies the OU recursion itself, as one linear map per chunk of time
+rows (`mc._ou_maps`), to a few rows of Gaussians at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX_1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_2 = _U64(0x94D049BB133111EB)
 _HI, _LO = (1, 0) if sys.byteorder == "little" else (0, 1)  # int32 halves of a uint64
-_PI_TWO_NEG32 = np.float32(math.pi * 2.0**-32)  # exactly float32(pi) 2^-32
+_TWO_PI_TWO_NEG32 = np.float32(2.0 * math.pi * 2.0**-32)  # exactly float32(2 pi) 2^-32
 
 
 @dataclass(frozen=True)
@@ -123,11 +120,10 @@ def _half_angle(h: np.ndarray, w: np.ndarray) -> None:
     """In place: h <- t = tan h and w <- 2 / (1 + t^2), so that
     cos 2h = w - 1 and sin 2h = t w, in the float type of h and w.
 
-    numpy computes float64 cos and sin with scalar libm calls (~25 ns per
-    element); its tan is vectorized (~3 ns in float64, under 1 ns in
-    float32), so one tangent and a few arithmetic passes replace both. In
-    float64, cos and sin come out within ~3e-16 absolute of libm for |2h| up
-    to 1e12, and exactly (1, 0) at h = 0.
+    For the float64 `mc._static_table`: numpy's float64 cos and sin are
+    scalar (~14-20 ns per element), its tan is vectorized with AVX-512
+    (~2 ns; ~16-20 ns at X86_V3). cos and sin come out within ~3e-16
+    absolute of libm for |2h| up to 1e12, and exactly (1, 0) at h = 0.
     """
     np.tan(h, out=h)
     np.multiply(h, h, out=w)
@@ -145,9 +141,9 @@ def gaussian_block(keys, count: int, start: int = 0, out: np.ndarray | None = No
     from one hash h = mix64(key + (p + 1) G). Read as signed 32-bit
     integers, its high half hi gives the radius uniform
     u = |hi + 1/2| 2^-31 in (0, 1], exact near 0, so the tail is cut at
-    sqrt(64 ln 2) = 6.66 sigma; its low half lo gives the half angle
-    pi lo 2^-32 in [-pi/2, pi/2). The values are float32 Box-Muller results
-    held in float64: the casts, log, sqrt and half-angle tangent run in
+    sqrt(64 ln 2) = 6.66 sigma; its low half lo gives the angle
+    lo 2^-32 float32(2 pi) in [-pi, pi). The values are float32 Box-Muller
+    results held in float64: the casts, log, sqrt, cos and sin run in
     float32, each integer rounded once to float32.
 
     ``start`` must be even, so that Box-Muller pairs the same counters as a
@@ -172,7 +168,7 @@ def gaussian_block(keys, count: int, start: int = 0, out: np.ndarray | None = No
     _mix64(bits, scratch[pairs : 2 * pairs].view(np.uint64))
     halves = bits.view(np.int32).reshape(pairs, keys.size, 2)
     u = _float32_rows(scratch[pairs:], 2 * pairs)
-    r, t = u[:pairs], u[pairs:]  # in place: (r, t) -> (r cos 2 pi u, r sin 2 pi u)
+    r, t = u[:pairs], u[pairs:]  # in place: (r, t) -> (r cos 2 pi v, r sin 2 pi v)
     np.copyto(r, halves[..., _HI], casting="unsafe")
     np.copyto(t, halves[..., _LO], casting="unsafe")
     r += 0.5
@@ -181,12 +177,11 @@ def gaussian_block(keys, count: int, start: int = 0, out: np.ndarray | None = No
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    t *= _PI_TWO_NEG32
+    t *= _TWO_PI_TWO_NEG32
     w = _float32_rows(scratch, pairs)  # the hash in scratch is spent
-    _half_angle(t, w)
-    t *= w
+    np.cos(t, out=w)
+    np.sin(t, out=t)
     t *= r
-    w -= 1.0
     r *= w
     z[0::2] = r
     z[1::2] = t

@@ -35,8 +35,8 @@ import numpy as np
 from .filters import NumericalError
 from .grid import TimeGrid
 from .linalg import PHI_PLUS
-from .measures import WeightedEnsemble, eof_from_concurrence
-from .series import EntanglementSeries
+from .measures import WeightedEnsemble
+from .series import EntanglementSeries, _eof_by_block
 
 
 def _half_phase(rate: float, t, name: str) -> np.ndarray:
@@ -102,4 +102,4 @@ def jc_measures(g: float, grid: TimeGrid) -> EntanglementSeries:
     out) and E_av = p0 EoF(2|c| / (1 + c^2)). The gap E_av - E_f is >= 0."""
     c = np.abs(np.cos(_half_phase(g, grid.times, "g")))
     p0 = 0.5 * (1.0 + c * c)
-    return EntanglementSeries(grid, c, p0 * eof_from_concurrence(c / p0))
+    return EntanglementSeries(grid, c, p0 * _eof_by_block(c / p0))

@@ -16,6 +16,16 @@ import numpy as np
 from .grid import TimeGrid
 from .measures import eof_from_concurrence
 
+_BLOCK = 65536  # rows per EoF call, so that its ~6 temporaries stay block-sized
+
+
+def _eof_by_block(c: np.ndarray) -> np.ndarray:
+    """`eof_from_concurrence` of a column, _BLOCK rows at a time; elementwise, so bit for bit."""
+    e_f = np.empty(c.shape)
+    for i in range(0, c.size, _BLOCK):
+        e_f[i : i + _BLOCK] = eof_from_concurrence(c[i : i + _BLOCK])
+    return e_f
+
 
 @dataclass(frozen=True)
 class EntanglementSeries:
@@ -40,7 +50,7 @@ class EntanglementSeries:
             if col.shape != (n,):
                 raise ValueError(f"column {name} has shape {col.shape}, expected ({n},)")
             object.__setattr__(self, name, col)
-        e_f = eof_from_concurrence(self.concurrence)
+        e_f = _eof_by_block(self.concurrence)
         object.__setattr__(self, "e_f", e_f)
         object.__setattr__(self, "e_hidden", self.e_av - e_f)
 

@@ -440,15 +440,13 @@ def gaussian_rows(keys, count: int) -> np.ndarray:
     """Standard normals, shape (len(keys), count), by Box-Muller computed
     stream by stream in float32 on `pair_uniforms`, as `noise.gaussian_block`
     runs it: the layout that it must reproduce bit for bit. The radius is
-    sqrt(-2 ln u), the half angle pi v, and the cos and sin of the angle
-    come from tan(pi v) by the half-angle identity."""
+    sqrt(-2 ln u) and the angle a = float32(2 pi) v."""
     u, v = pair_uniforms(keys, (count + 1) // 2)
     r = np.sqrt(np.float32(-2.0) * np.log(u))
-    t = np.tan(np.float32(math.pi) * v)  # half of the angle 2 pi v
-    w = np.float32(2.0) / (np.float32(1.0) + t * t)
+    a = np.float32(2.0 * math.pi) * v
     z = np.empty((u.shape[0], 2 * u.shape[1]))
-    z[:, 0::2] = r * (w - np.float32(1.0))
-    z[:, 1::2] = r * (t * w)
+    z[:, 0::2] = r * np.cos(a)
+    z[:, 1::2] = r * np.sin(a)
     return z[:, :count]
 
 

@@ -438,8 +438,8 @@ def test_mc_ou_echo_csv_bytes_pinned(tmp_path):
         "--points 161 --ntraj 20000 --seed 2101"
     )
     _check_mc_pin(tmp_path, args, {
-        _AVX512_TARGETS: "a54a6a353ef7a9e2ae021534d2fcbc05d89721509405d89fe5b030ab9753d55d",
-        ("X86_V3",): "ea83d39a088bad6ffed788a8b14d0af1d859ebcb1c6dd0e01e252629cace8af3",
+        _AVX512_TARGETS: "169c8b2db01fc6875fef20dd1725d841cff5d98c30577817042e57dd114f9da2",
+        ("X86_V3",): "169c8b2db01fc6875fef20dd1725d841cff5d98c30577817042e57dd114f9da2",
     })
 
 
@@ -452,8 +452,8 @@ def test_mc_static_csv_bytes_pinned(tmp_path):
         "--points 801 --ntraj 20000 --seed 2101"
     )
     _check_mc_pin(tmp_path, args, {
-        _AVX512_TARGETS: "86b2e4b30fda4c7edb1695ebdbe007ba6980a429cbb017275b254bd30da93c20",
-        ("X86_V3",): "54605c523dbed062e3af89c621d0cf1afbe676481d0dfbeb9187c0fdc2fcd63a",
+        _AVX512_TARGETS: "382cbdf1e3812d4ccaac62cb2c9e5813983045740603a3119311bd9e91f9f30b",
+        ("X86_V3",): "3a466989e7640c14794f122eceecf41680cd71f9019105917969b1711918f606",
     })
 
 

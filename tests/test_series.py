@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entdyn.grid import TimeGrid
+from entdyn.measures import eof_from_concurrence
 from entdyn.series import EntanglementSeries
 from oracles import eof_of_concurrence
 
@@ -38,3 +39,10 @@ def test_series_rejects_wrong_shapes_and_derived_inputs():
         EntanglementSeries(GRID, np.ones(5), np.ones(6))
     with pytest.raises(TypeError):
         EntanglementSeries(GRID, np.ones(5), np.ones(5), np.ones(5))
+
+
+def test_eof_by_block_equals_one_call_across_block_edges():
+    grid = TimeGrid(1.0, 2 * 65536 + 7)
+    conc = np.random.default_rng(5).uniform(0.0, 1.0, grid.n_points)
+    series = EntanglementSeries(grid, conc, 1.0)
+    np.testing.assert_array_equal(series.e_f, eof_from_concurrence(conc))
