@@ -18,9 +18,15 @@ the stacked measures. The exchange scenario's tripartite state comes from
 its generator here, with a reshape partial trace, to check the measurement
 ensemble that is all the library builds of it; the Schmidt entropies also
 check the library's closed-form entropy of entanglement of pure states. The
-CSV column checksums are recomputed from the written file, not from the
-series, and the CSV is also formatted in one piece beside the writer's row
-blocks. The hidden-entanglement report of a single ensemble, the
+entanglement of formation h(x), x = (1 + sqrt(1 - C^2)) / 2, is taken two
+ways: `eof_accurate` derives q = 1 - x from the Taylor series of
+(1 - sqrt(1 - C^2)) / 2 at small C and from 60-digit Decimal arithmetic
+above, where the library takes q = C^2 / (2 (1 + sqrt(1 - C^2))) in floats;
+`eof_of_concurrence` is the cancelling float form 1 - x, which loses the
+relative digits of small E_f, so the tests compare with it only to absolute
+tolerances. The CSV column checksums are recomputed from the written file,
+not from the series, and the CSV is also formatted in one piece beside the
+writer's row blocks. The hidden-entanglement report of a single ensemble, the
 closed-form filter functions of free evolution, echo and periodic
 decoupling, the exact filter function of any protocol, the spectral
 concurrence exp(-chi), the grid index of a time and the lookup of a series
@@ -30,6 +36,7 @@ tests use them.
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import math
 from dataclasses import dataclass
@@ -85,7 +92,33 @@ def binary_entropy(x: float) -> float:
 
 
 def eof_of_concurrence(c: float) -> float:
+    """The cancelling form h((1 + sqrt(1 - C^2)) / 2): good to ~1e-14
+    absolute, so the tests compare with it only to absolute tolerances."""
     return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+
+
+def eof_accurate(c: float) -> float:
+    """EoF of a concurrence, to ~1e-25 relative, through q = 1 - x in Decimal.
+
+    q is the series C^2/4 + C^4/16 + C^6/32 + 5C^8/256 below C = 1e-3
+    (truncated at relative ~C^8 / 20), else 1 - (1 + sqrt(1 - C^2)) / 2 at 60
+    digits, which leaves >= 50 after the cancellation; -(1 - q) ln(1 - q) is
+    its series q - q^2/2 - q^3/6 below q = 1e-15.
+    """
+    with decimal.localcontext(decimal.Context(prec=60)):
+        c = decimal.Decimal(c)  # the exact value of the float
+        if c == 0:
+            return 0.0
+        u = c * c
+        if c < decimal.Decimal("1e-3"):
+            q = u / 4 + u**2 / 16 + u**3 / 32 + 5 * u**4 / 256
+        else:
+            q = 1 - (1 + (1 - u).sqrt()) / 2
+        if q < decimal.Decimal("1e-15"):
+            rest = q - q**2 / 2 - q**3 / 6
+        else:
+            rest = -(1 - q) * (1 - q).ln()
+        return float((rest - q * q.ln()) / decimal.Decimal(2).ln())
 
 
 def random_state(rng: np.random.Generator, dim: int = 4) -> np.ndarray:

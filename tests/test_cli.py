@@ -398,7 +398,7 @@ def test_analytic_ou_pdd_csv_bytes_unchanged(tmp_path):
     args = "--mode analytic --noise ou --sigma 1.0 --tau 20.0 --protocol pdd --dt-pulse 0.25 --tmax 8.0 --points 161"
     assert main([*args.split(), "-o", str(out)]) == cli.EXIT_OK
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "2fa341ad61aeffbeedc3e8d26ec8937c24e8b3d5806d9a5b919054700d098268"
+    assert digest == "f8850f6df3abf1b1694c6ce7f02e1ae369b809bc76f685164fc35cf0de437a6f"
 
 
 # The MC bytes hold on one numpy build and SIMD target, so each MC pin has
@@ -438,8 +438,8 @@ def test_mc_ou_echo_csv_bytes_pinned(tmp_path):
         "--points 161 --ntraj 20000 --seed 2101"
     )
     _check_mc_pin(tmp_path, args, {
-        _AVX512_TARGETS: "169c8b2db01fc6875fef20dd1725d841cff5d98c30577817042e57dd114f9da2",
-        ("X86_V3",): "169c8b2db01fc6875fef20dd1725d841cff5d98c30577817042e57dd114f9da2",
+        _AVX512_TARGETS: "5eeb847218d29aa5410a59bd6cce6db19bb3d1555775b878ab9fa9e2a38fa6f5",
+        ("X86_V3",): "5eeb847218d29aa5410a59bd6cce6db19bb3d1555775b878ab9fa9e2a38fa6f5",
     })
 
 
@@ -452,9 +452,21 @@ def test_mc_static_csv_bytes_pinned(tmp_path):
         "--points 801 --ntraj 20000 --seed 2101"
     )
     _check_mc_pin(tmp_path, args, {
-        _AVX512_TARGETS: "382cbdf1e3812d4ccaac62cb2c9e5813983045740603a3119311bd9e91f9f30b",
-        ("X86_V3",): "3a466989e7640c14794f122eceecf41680cd71f9019105917969b1711918f606",
+        _AVX512_TARGETS: "91bf99cc0170a8f8cf8e5662aade80aa6a241db16f574ab6e81408d217a94461",
+        ("X86_V3",): "46f4cbaac69d41b86e5c0652b01d9a13aafea6c45a2cbbf9111750fc1d067448",
     })
+
+
+def test_decayed_mc_cells_print_no_negative_zero(tmp_path):
+    # Static noise at sigma 1 decays C to 0 in hundreds of cells; E_f there
+    # must be +0.0, which prints "0", and no cell may print "-0".
+    out = tmp_path / "x.csv"
+    assert main(["--mode", "mc", "--noise", "static", "--sigma", "1", "--ntraj", "8192", "-o", str(out)]) == cli.EXIT_OK
+    header, *lines = out.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    e_f = header.split(",").index("e_f")
+    assert sum(row[e_f] == "0" for row in rows) > 100
+    assert not any(cell == "-0" for row in rows for cell in row)
 
 
 MODE_ARGS = {

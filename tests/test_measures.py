@@ -15,7 +15,6 @@ from entdyn.linalg import (
 from entdyn.measures import (
     WeightedEnsemble,
     average_entanglement,
-    binary_entropy,
     concurrence_mixed,
     concurrence_pure,
     entropy_of_entanglement,
@@ -23,6 +22,8 @@ from entdyn.measures import (
 )
 from oracles import (
     _schmidt_entropy,
+    binary_entropy,
+    eof_accurate,
     eof_of_concurrence,
     hidden_entanglement,
     random_state,
@@ -109,6 +110,34 @@ def test_concurrence_mixed_local_unitary_invariance():
 def test_eof_endpoints():
     assert eof_from_concurrence(1.0) == 1.0
     assert eof_from_concurrence(0.0) == 0.0
+    # + 0.0, not -0.0, which the CSV would print as "-0"
+    assert math.copysign(1.0, eof_from_concurrence(0.0)) == 1.0
+    assert not np.any(np.signbit(eof_from_concurrence(np.zeros(3))))
+
+
+def test_eof_within_4_ulp_of_accurate_oracle():
+    # The cancelling form 1 - (1 + sqrt(1 - C^2)) / 2 is 8.6e-5 off,
+    # relative, at C = 1e-6 and 0 below C ~ 6.3e-8.
+    c = np.concatenate([np.logspace(-150.0, 0.0, 301), 1.0 - np.logspace(-16.0, -1.0, 61)])
+    expected = np.array([eof_accurate(float(x)) for x in c])
+    ulps = np.abs(eof_from_concurrence(c) - expected) / np.spacing(expected)
+    assert np.max(ulps) <= 4.0, f"{np.max(ulps)} ulp at C = {c[np.argmax(ulps)]!r}"
+
+
+def test_eof_blocks_equal_each_element_across_block_edges():
+    # The flat array runs in blocks of 65536 elements; no block edge may
+    # change a bit, whatever the shape or memory order.
+    c = np.random.default_rng(5).uniform(0.0, 1.0, 2 * 65536 + 7)
+    e_f = eof_from_concurrence(c)
+    near_edges = [i for edge in (0, 65536, 2 * 65536, c.size) for i in range(edge - 3, edge + 3)
+                  if 0 <= i < c.size]
+    np.testing.assert_array_equal(e_f[near_edges], [eof_from_concurrence(c[i]) for i in near_edges])
+    rows = c.reshape(3, -1)  # each block edge falls inside a row
+    np.testing.assert_array_equal(eof_from_concurrence(rows), e_f.reshape(3, -1))
+    np.testing.assert_array_equal(eof_from_concurrence(rows.T), e_f.reshape(3, -1).T)
+    c[2 * 65536 + 5] = np.nan  # the range check runs on every block
+    with pytest.raises(ValueError, match="nan outside"):
+        eof_from_concurrence(c)
 
 
 def test_eof_monotone():
@@ -128,12 +157,6 @@ def test_eof_rejects_out_of_range():
         eof_from_concurrence(1.1)
     # within the 1e-9 clamp band is fine
     assert eof_from_concurrence(1.0 + 1e-10) == 1.0
-
-
-def test_binary_entropy_endpoints():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == 1.0
 
 
 def test_entropy_of_entanglement_bell_and_product():
@@ -287,7 +310,6 @@ def test_stacked_measures_equal_each_member():
     )
     c = rng.random(64)
     np.testing.assert_array_equal(eof_from_concurrence(c), [eof_from_concurrence(x) for x in c])
-    np.testing.assert_array_equal(binary_entropy(c), [binary_entropy(x) for x in c])
 
 
 def _bad_member(kind):
@@ -334,7 +356,7 @@ def test_concurrence_pure_stack_equals_each_member():
     np.testing.assert_array_equal(concurrence_pure([PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS]), 1.0)
 
 
-@pytest.mark.parametrize("measure", [eof_from_concurrence, binary_entropy])
+@pytest.mark.parametrize("measure", [eof_from_concurrence])
 def test_range_check_rejects_a_nan_member(measure):
     x = np.linspace(0.0, 1.0, 16)
     x[7] = np.nan
